@@ -14,9 +14,10 @@ have lead coefficient exactly 1 and lead monomial equal to the sum of the
 factors' lead monomials, so when every orbit is the predicted lead of some
 product the products are triangular and full-rank with no arithmetic at
 all.  Otherwise a sparse elimination runs, either in exact integer
-arithmetic (fraction-free with content stripping) or modulo two distinct
-large primes; any modular disagreement, and every degree that appears to
-contain a new generator, is recomputed exactly before being reported.
+arithmetic (fraction-free with content stripping) or modulo one large
+prime.  Rank mod p never exceeds rank over the rationals, so full rank mod
+p proves full rank; every degree that appears to contain a new generator
+is recomputed exactly before being reported.
 
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
@@ -71,7 +72,7 @@ __all__ = [
     "selftest",
 ]
 
-_PRIMES = (2147483647, 2147483629)
+_PRIME = 2147483647
 
 
 # ----------------------------------------------------------------- monomials
@@ -418,17 +419,12 @@ class _RingScan:
 
     def _rank_deficit(self, ordered_keys, build, dim) -> list[int]:
         """Columns not reached by the product span, under the configured
-        arithmetic; modular results that suggest new generators (or that
-        the two primes disagree on) are recomputed exactly."""
-        if self.arithmetic == "exact":
-            pivots = _eliminate(ordered_keys, build, dim, None)
-            return [c for c in range(dim) if c not in pivots]
-        pivots1 = _eliminate(ordered_keys, build, dim, _PRIMES[0])
-        if len(pivots1) == dim:
-            pivots2 = _eliminate(ordered_keys, build, dim, _PRIMES[1])
-            if len(pivots2) == dim:
+        arithmetic.  Full rank mod the prime proves full rank over the
+        rationals; a modular result short of full rank, which suggests new
+        generators, is recomputed exactly."""
+        if self.arithmetic == "modular":
+            if len(_eliminate(ordered_keys, build, dim, _PRIME)) == dim:
                 return []
-        # potential new generators, or prime disagreement: escalate
         pivots = _eliminate(ordered_keys, build, dim, None)
         return [c for c in range(dim) if c not in pivots]
 
@@ -493,7 +489,7 @@ def generator_degrees(
     up to the cap.
 
     ``arithmetic`` selects "exact" integer elimination or the "modular"
-    two-prime fast path (which always re-verifies candidate generators
+    one-prime fast path (which always re-verifies candidate generators
     exactly).  When ``elements`` lists the full group, every invariant
     dimension is cross-checked against the cycle-index series.  A budget
     overrun at degree d stops the scan with ``verified_up_to == d - 1``.
@@ -598,7 +594,7 @@ def check_conjectures(
         arithmetic = "exact" if n <= 5 else "modular"
     aut = automorphism_group(graph)
     gens = PermGroupSpec(n=n, generators=tuple(reduce_generators(aut.generators)))
-    orbits = vertex_orbits(gens if gens.generators else aut)
+    orbits = vertex_orbits(gens)
     orbit_sizes = tuple(sorted((len(o) for o in orbits), reverse=True))
     max_orbit = orbit_sizes[0]
     cap = _resolve_cap(cap_policy, n)

@@ -39,6 +39,23 @@ def _per_node(t: TypedNodeSet, per_block: np.ndarray) -> np.ndarray:
     return np.repeat(per_block, t.type_sizes, axis=0)
 
 
+def _equivariant(
+    t: TypedNodeSet, W: np.ndarray, v: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The equivariant map on a channel stack, shared by every layer.
+
+    ``x`` is (n, c_in), ``W`` (c_in, c_out, m, m) and ``v`` (c_in, c_out, m);
+    output channel o at a node of block b is
+    sum_{i,a} W[i, o, a, b] * blocksum_a(x[:, i]) + sum_i v[i, o, b] * x[node, i].
+    """
+    mixed = np.tensordot(_block_sums(t, x), W, axes=([0, 1], [2, 0]))  # (c_out, m)
+    y = _per_node(t, mixed.T)
+    for b, block in enumerate(t.blocks()):
+        rows = slice(block.start, block.stop)
+        y[rows] += x[rows] @ v[:, :, b]
+    return y
+
+
 @dataclass
 class InvariantPool:
     """Weighted sum pool: one weight per node type."""
@@ -98,9 +115,7 @@ def equivariant_forward(e: EquivariantMap, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (e.types.n,):
         raise ValueError(f"expected shape ({e.types.n},), got {x.shape}")
-    sums = _block_sums(e.types, x)
-    per_block = e.W.T @ sums
-    y = _per_node(e.types, per_block) + _per_node(e.types, e.v) * x
+    y = _equivariant(e.types, e.W[None, None], e.v[None, None], x[:, None])[:, 0]
     if e.c is not None:
         y = y + _per_node(e.types, e.c)
     return y
@@ -109,15 +124,7 @@ def equivariant_forward(e: EquivariantMap, x: np.ndarray) -> np.ndarray:
 def jacobian(e: EquivariantMap) -> np.ndarray:
     """Analytic Jacobian: sum_ij W[i,j] 1_{K_j} 1_{K_i}^T + sum_i v[i] I_{K_i}."""
     t = e.types
-    n = t.n
-    J = np.zeros((n, n))
-    for i in range(t.m):
-        for j in range(t.m):
-            J[np.ix_(list(t.block(j)), list(t.block(i)))] += e.W[i, j]
-    for i in range(t.m):
-        idx = list(t.block(i))
-        J[idx, idx] += e.v[i]
-    return J
+    return _per_node(t, _per_node(t, e.W).T) + np.diag(_per_node(t, e.v))
 
 
 def finite_diff_jacobian(
@@ -183,13 +190,7 @@ class MultiChannelEquivariant:
             raise ValueError(
                 f"expected shape ({self.types.n}, {self.c_in}), got {x.shape}"
             )
-        sums = _block_sums(self.types, x)  # (m, c_in)
-        # per output channel o and block b: sum_{i,a} W[i,o,a,b] * sums[a,i]
-        per_block = np.einsum("ioab,ai->bo", self.W, sums)
-        y = _per_node(self.types, per_block)
-        # identity part: y[node,o] += sum_i v[i,o,block(node)] * x[node,i]
-        vt = np.einsum("iob->boi", self.v)  # (m, c_out, c_in)
-        y = y + np.einsum("noi,ni->no", _per_node(self.types, vt), x)
+        y = _equivariant(self.types, self.W, self.v, x)
         if self.bias is not None:
             y = y + _per_node(self.types, self.bias.T)
         return y
@@ -280,9 +281,9 @@ def network_forward(net: InvariantNetwork, x: np.ndarray) -> np.ndarray:
         out = layer.forward(out)
         if i + 1 < len(net.layers):
             out = act(out)
-    pooled = np.array(
-        [invariant_forward(pool, out[:, ch]) for ch, pool in enumerate(net.pools)]
-    )
+    # (channels, m); the reshape keeps the shape when there are no pools
+    weights = np.array([pool.w for pool in net.pools]).reshape(-1, net.types.m)
+    pooled = np.einsum("ca,ac->c", weights, _block_sums(net.types, out))
     return net.head.forward(pooled)
 
 

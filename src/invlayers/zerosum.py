@@ -124,11 +124,15 @@ def is_zero_sum(s: GroupSequence) -> bool:
     return s.sum_mod() == (0, 0)
 
 
-def _sub_multiset_choices(s: GroupSequence):
-    """Yield (elements, size) over all sub-multisets, empty one first."""
+def _zero_sum_sizes(s: GroupSequence):
+    """Yield the size of each zero-sum sub-multiset of s, empty one first."""
+    d = s.d
     items = s.counts
     for choice in itertools.product(*(range(m + 1) for _, m in items)):
-        yield choice, sum(choice)
+        p = sum(a * c for ((a, _), _), c in zip(items, choice)) % d
+        q = sum(b * c for ((_, b), _), c in zip(items, choice)) % d
+        if (p, q) == (0, 0):
+            yield sum(choice)
 
 
 def find_zero_sum_subsequence(
@@ -184,15 +188,7 @@ def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:
             f"zero-sum-free check needs {combos} sub-multisets; "
             f"budget is {budget.tuple_enumeration}"
         )
-    d = s.d
-    for choice, size in _sub_multiset_choices(s):
-        if size == 0:
-            continue
-        p = sum(a * c for ((a, _), _), c in zip(s.counts, choice)) % d
-        q = sum(b * c for ((_, b), _), c in zip(s.counts, choice)) % d
-        if (p, q) == (0, 0):
-            return False
-    return True
+    return all(size == 0 for size in _zero_sum_sizes(s))
 
 
 def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
@@ -319,18 +315,6 @@ def decompose_invariant_monomial(
     return factors
 
 
-def _has_proper_zero_sum_part(u: GroupSequence) -> bool:
-    d = u.d
-    for choice, size in _sub_multiset_choices(u):
-        if size == 0 or size == u.degree:
-            continue
-        p = sum(a * c for ((a, _), _), c in zip(u.counts, choice)) % d
-        q = sum(b * c for ((_, b), _), c in zip(u.counts, choice)) % d
-        if (p, q) == (0, 0):
-            return True
-    return False
-
-
 @dataclasses.dataclass(frozen=True)
 class GeneratorDegreeCertificate:
     """Evidence that translation-invariant polynomial generators need
@@ -360,10 +344,10 @@ def max_generator_degree_translation(
     indecomposable = dav.witness.add(GroupSequence.from_elements(d, [closing]))
     if not is_zero_sum(indecomposable):
         raise AssertionError("closing element did not produce a zero-sum sequence")
-    verified = not _has_proper_zero_sum_part(indecomposable)
+    degree = indecomposable.degree
+    verified = all(size in (0, degree) for size in _zero_sum_sizes(indecomposable))
     if not verified:
         raise AssertionError("degree-(2d-1) invariant unexpectedly decomposed")
-    degree = indecomposable.degree
     if degree != 2 * d - 1:
         raise AssertionError(f"witness degree {degree} != {2 * d - 1}")
     return GeneratorDegreeCertificate(

@@ -294,6 +294,8 @@ def test_trivial_automorphisms_give_beta_one():
         if len(automorphism_group(g).generators) == 1:
             report = check_conjectures(g)
             assert report.beta_proxy == 1
+            assert report.orbit_sizes == (1,) * 6
+            assert report.max_orbit == 1
             found += 1
             if found >= 2:
                 break

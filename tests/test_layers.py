@@ -225,6 +225,68 @@ def test_multichannel_sums_input_channels():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def random_sizes(rng, m):
+    # block sizes 1..6, with roughly a third of the blocks of size one
+    return tuple(int(s) if rng.random() > 0.3 else 1 for s in rng.integers(1, 7, m))
+
+
+def test_equivariant_forward_matches_block_formula_exactly():
+    # the one-channel map written out with numpy primitives: block sums
+    # mixed by W.T, broadcast per node, plus v times the node's own value
+    rng = np.random.default_rng(11)
+    for m in range(1, 7):
+        for _ in range(30):
+            sizes = random_sizes(rng, m)
+            t = TypedNodeSet(sizes)
+            W = rng.standard_normal((m, m))
+            v = rng.standard_normal(m)
+            c = rng.standard_normal(m)
+            x = rng.standard_normal(t.n)
+            sums = np.add.reduceat(x, np.cumsum((0,) + sizes[:-1]))
+            want = np.repeat(W.T @ sums, sizes) + np.repeat(v, sizes) * x
+            assert np.array_equal(equivariant_forward(EquivariantMap(t, W, v), x), want)
+            assert np.array_equal(
+                equivariant_forward(EquivariantMap(t, W, v, c), x),
+                want + np.repeat(c, sizes),
+            )
+
+
+def test_multichannel_matches_per_node_weight_formula():
+    # reference: broadcast the identity weights to one (c_out, c_in)
+    # matrix per node and contract each node's input channels with it
+    rng = np.random.default_rng(12)
+    for m in list(range(1, 7)) * 5:
+        sizes = random_sizes(rng, m)
+        t = TypedNodeSet(sizes)
+        c_in, c_out = (int(c) for c in rng.integers(1, 5, 2))
+        layer = MultiChannelEquivariant(
+            t,
+            rng.standard_normal((c_in, c_out, m, m)),
+            rng.standard_normal((c_in, c_out, m)),
+            rng.standard_normal((c_out, m)),
+        )
+        x = rng.standard_normal((t.n, c_in))
+        sums = np.add.reduceat(x, np.cumsum((0,) + sizes[:-1]), axis=0)
+        per_block = np.einsum("ioab,ai->bo", layer.W, sums)
+        v_per_node = np.repeat(np.einsum("iob->boi", layer.v), sizes, axis=0)
+        want = (
+            np.repeat(per_block, sizes, axis=0)
+            + np.einsum("noi,ni->no", v_per_node, x)
+            + np.repeat(layer.bias.T, sizes, axis=0)
+        )
+        assert np.allclose(layer.forward(x), want, rtol=0, atol=1e-12)
+
+
+def test_depth_zero_network_pools_each_channel():
+    rng = np.random.default_rng(13)
+    t = TypedNodeSet((3, 1, 2))
+    pools = [InvariantPool(t, rng.standard_normal(3)) for _ in range(4)]
+    net = InvariantNetwork(t, [], pools, Mlp([], []))
+    x = rng.standard_normal((t.n, 4))
+    want = [invariant_forward(pool, x[:, ch]) for ch, pool in enumerate(pools)]
+    assert np.allclose(network_forward(net, x), want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 @pytest.mark.parametrize("bias", [False, True])
 def test_network_invariance(activation, bias):
