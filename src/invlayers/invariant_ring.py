@@ -9,6 +9,12 @@ new generators appear, by comparing the invariant dimension (orbit count,
 cross-checked against the cycle-index series) with the rank of the span of
 all products of previously found generators.
 
+Every monomial is one packed int: its exponents sit in fixed-width bit
+fields, the first variable most significant, each field wide enough for the
+largest degree in play.  Descending int order is then descending lex order,
+and a product of monomials is the sum of their ints, with no carries (the
+packed monomials of Monagan and Pearce, ISSAC 2009).
+
 Ranks are certified three ways, cheapest first.  Products of orbit sums
 have lead coefficient exactly 1 and lead monomial equal to the sum of the
 factors' lead monomials, so when every orbit is the predicted lead of some
@@ -30,11 +36,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import BudgetError
@@ -78,24 +85,29 @@ _PRIME = 2147483647
 # ----------------------------------------------------------------- monomials
 
 
+def _width(degree: int) -> int:
+    """Bits per exponent field: wide enough for any exponent up to degree."""
+    return max(degree, 1).bit_length()
+
+
 @functools.lru_cache(maxsize=None)
-def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of total degree d on n variables, in descending
-    lexicographic order (so index order doubles as the column order)."""
+def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
+    """All packed monomials of total degree d on n variables, in descending
+    order.  Exponents sit in fixed-width fields with the first variable
+    most significant, so descending int order is descending lex order and a
+    product of monomials is the sum of their packed ints."""
     if n == 0:
-        return ((),) if d == 0 else ()
-    if n == 1:
-        return ((d,),)
+        return (0,) if d == 0 else ()
     out = []
     for first in range(d, -1, -1):
-        for rest in _monomials(n - 1, d - first):
-            out.append((first,) + rest)
+        for rest in _monomials(n - 1, d - first, width):
+            out.append(first << width * (n - 1) | rest)
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _mono_index(n: int, d: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(_monomials(n, d))}
+def _unpack(mono: int, n: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple(mono >> (width * (n - 1 - i)) & mask for i in range(n))
 
 
 def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
@@ -107,40 +119,37 @@ def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
         )
 
 
-def _orbit_partition(spec: PermGroupSpec, d: int):
-    """Partition the degree-d monomials into group orbits.
+def _orbit_partition(spec: PermGroupSpec, d: int, width: int):
+    """Partition the packed degree-d monomials into group orbits.
 
-    Returns (monomials, index map, orbit id per monomial, lead monomial
-    index per orbit).  Monomials are scanned in descending order, so each
-    orbit is discovered at its lex-max member and orbit ids are sorted by
-    descending lead.
+    Returns (orbit id per monomial, lead monomial per orbit).  Monomials
+    are scanned in descending order, so each orbit is discovered at its
+    lex-max member and orbit ids are sorted by descending lead.
     """
     n = spec.n
-    monos = _monomials(n, d)
-    index = _mono_index(n, d)
-    images = [g.image for g in spec.generators]
-    orbit_of = [-1] * len(monos)
+    mask = (1 << width) - 1
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    moves = [[shifts[j] for j in g.image] for g in spec.generators]
+    orbit_of: dict[int, int] = {}
     leads: list[int] = []
-    for idx, mono in enumerate(monos):
-        if orbit_of[idx] != -1:
+    for mono in _monomials(n, d, width):
+        if mono in orbit_of:
             continue
         oid = len(leads)
-        leads.append(idx)
-        orbit_of[idx] = oid
+        leads.append(mono)
+        orbit_of[mono] = oid
         stack = [mono]
         while stack:
             cur = stack.pop()
-            for img in images:
-                moved = [0] * n
-                for i, e in enumerate(cur):
-                    if e:
-                        moved[img[i]] = e
-                t = tuple(moved)
-                j = index[t]
-                if orbit_of[j] == -1:
-                    orbit_of[j] = oid
+            exps = [cur >> s & mask for s in shifts]
+            for move in moves:
+                t = 0
+                for e, s in zip(exps, move):
+                    t |= e << s
+                if t not in orbit_of:
+                    orbit_of[t] = oid
                     stack.append(t)
-    return monos, index, orbit_of, leads
+    return orbit_of, leads
 
 
 def invariant_dim_by_degree(
@@ -151,7 +160,7 @@ def invariant_dim_by_degree(
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     _check_monomial_budget(spec.n, degree, budget)
-    return len(_orbit_partition(spec, degree)[3])
+    return len(_orbit_partition(spec, degree, _width(degree))[1])
 
 
 def monomial_orbit_sums(
@@ -163,12 +172,12 @@ def monomial_orbit_sums(
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     _check_monomial_budget(spec.n, degree, budget)
-    monos, _, orbit_of, leads = _orbit_partition(spec, degree)
+    n, width = spec.n, _width(degree)
+    orbit_of, leads = _orbit_partition(spec, degree, width)
     members: list[list[tuple[int, ...]]] = [[] for _ in leads]
-    for idx, mono in enumerate(monos):
-        members[orbit_of[idx]].append(mono)
-    # monomials were scanned in descending order, so each member list is
-    # already sorted with the lead first
+    # scanning in descending order sorts each member list, lead first
+    for mono in _monomials(n, degree, width):
+        members[orbit_of[mono]].append(_unpack(mono, n, width))
     return [tuple(ms) for ms in members]
 
 
@@ -228,8 +237,8 @@ class GeneratorDegreeResult:
 @dataclasses.dataclass
 class _Generator:
     degree: int
-    lead: tuple[int, ...]
-    poly: dict[tuple[int, ...], int]
+    lead: int
+    poly: dict[int, int]
 
 
 def _mod_row(row: dict[int, int], p: int) -> dict[int, int]:
@@ -255,21 +264,15 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
 
 
 def _eliminate(
-    row_keys: Sequence,
-    build: Callable[[object], dict[int, int]],
-    dim: int,
-    prime: Optional[int],
+    rows: Iterable[dict[int, int]], dim: int, prime: Optional[int]
 ) -> dict[int, dict[int, int]]:
     """Sparse Gaussian elimination; returns the pivot rows keyed by lead
     column.  Exact fraction-free integer arithmetic when prime is None,
     otherwise arithmetic mod the prime.  Stops as soon as the rank reaches
-    dim (later rows cannot add rank)."""
+    dim (later rows, built lazily, are never built)."""
     pivots: dict[int, dict[int, int]] = {}
-    for key in row_keys:
-        if len(pivots) == dim:
-            break
-        row = build(key)
-        row = _mod_row(row, prime) if prime else _strip_content(dict(row))
+    for row in rows:
+        row = _mod_row(row, prime) if prime else _strip_content(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -292,6 +295,8 @@ def _eliminate(
                     if v:
                         new[c] = v
                 row = _strip_content(new) if new else new
+        if len(pivots) == dim:
+            break
     return pivots
 
 
@@ -309,18 +314,18 @@ class _RingScan:
         self.spec = spec
         self.n = spec.n
         self.cap = cap
+        self.width = _width(cap)
         self.budget = budget
         self.arithmetic = arithmetic
         self.molien = (
             _molien_from_elements(elements, cap) if elements is not None else None
         )
         self.gens: list[_Generator] = []
-        self._products: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        self._record_dim = 0
+        self._products: dict[tuple[int, ...], dict[int, int]] = {}
 
     # ---- generator products
 
-    def _poly(self, key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def _poly(self, key: tuple[int, ...]) -> dict[int, int]:
         if len(key) == 1:
             return self.gens[key[0]].poly
         cached = self._products.get(key)
@@ -330,7 +335,7 @@ class _RingScan:
             cached = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
+                    e = e1 + e2
                     cached[e] = cached.get(e, 0) + c1 * c2
             self._products[key] = cached
         return cached
@@ -361,42 +366,34 @@ class _RingScan:
         rec(0, d, 0, [])
         return out
 
-    def _lead_sum(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        total = [0] * self.n
-        for i in key:
-            for pos, e in enumerate(self.gens[i].lead):
-                total[pos] += e
-        return tuple(total)
-
     # ---- per-degree processing
 
-    def _row_builder(self, index, orbit_of, leads_set):
-        def build(key) -> dict[int, int]:
-            if isinstance(key, tuple) and key and key[0] == "unit":
-                return {key[1]: 1}
-            poly = self._poly(key)
+    def _lead_rows(self, keys, orbit_of, leads):
+        """Each product's coefficients on the orbit leads, keyed by orbit,
+        built only when the elimination asks for the next row."""
+        for key in keys:
             row = {}
-            for e, c in poly.items():
-                i = index[e]
-                if i in leads_set:
-                    row[orbit_of[i]] = c
-            return row
+            for e, c in self._poly(key).items():
+                oid = orbit_of[e]
+                if leads[oid] == e:
+                    row[oid] = c
+            yield row
 
-        return build
-
-    def _scan_degree(self, d: int) -> int:
-        monos, index, orbit_of, leads = _orbit_partition(self.spec, d)
+    def _scan_degree(self, d: int) -> tuple[int, int]:
+        """The invariant dimension at degree d and the number of new
+        generators found there."""
+        orbit_of, leads = _orbit_partition(self.spec, d, self.width)
         dim = len(leads)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
-        multisets = self._multisets(d)
+        gens = self.gens
         first_by_col: dict[int, tuple[int, ...]] = {}
         extras: list[tuple[int, ...]] = []
-        for key in multisets:
-            col = orbit_of[index[self._lead_sum(key)]]
+        for key in self._multisets(d):
+            col = orbit_of[sum(gens[i].lead for i in key)]
             if col in first_by_col:
                 extras.append(key)
             else:
@@ -405,46 +402,36 @@ class _RingScan:
             # every orbit is the predicted lead of some product; those
             # representatives are triangular with unit lead coefficients,
             # hence full-rank: no new generators, no arithmetic needed
-            self._record_dim = dim
-            return 0
+            return dim, 0
         ordered_keys = [first_by_col[c] for c in sorted(first_by_col)] + extras
-        leads_set = set(leads)
-        build = self._row_builder(index, orbit_of, leads_set)
-        new_cols = self._rank_deficit(ordered_keys, build, dim)
+        rows = functools.partial(self._lead_rows, ordered_keys, orbit_of, leads)
+        new_cols = self._rank_deficit(rows, dim)
         if new_cols:
-            self._install_generators(d, new_cols, monos, orbit_of, leads)
-            self._verify_new_generators(ordered_keys, build, dim, new_cols)
-        self._record_dim = dim
-        return len(new_cols)
+            self._install_generators(d, new_cols, orbit_of, leads)
+            self._verify_new_generators(rows(), dim, new_cols)
+        return dim, len(new_cols)
 
-    def _rank_deficit(self, ordered_keys, build, dim) -> list[int]:
+    def _rank_deficit(self, rows, dim) -> list[int]:
         """Columns not reached by the product span, under the configured
         arithmetic.  Full rank mod the prime proves full rank over the
         rationals; a modular result short of full rank, which suggests new
         generators, is recomputed exactly."""
         if self.arithmetic == "modular":
-            if len(_eliminate(ordered_keys, build, dim, _PRIME)) == dim:
+            if len(_eliminate(rows(), dim, _PRIME)) == dim:
                 return []
-        pivots = _eliminate(ordered_keys, build, dim, None)
+        pivots = _eliminate(rows(), dim, None)
         return [c for c in range(dim) if c not in pivots]
 
-    def _install_generators(self, d, new_cols, monos, orbit_of, leads) -> None:
-        wanted = set(new_cols)
-        polys: dict[int, dict[tuple[int, ...], int]] = {c: {} for c in new_cols}
-        for idx, mono in enumerate(monos):
-            oid = orbit_of[idx]
-            if oid in wanted:
-                polys[oid][mono] = 1
-        for c in sorted(new_cols):
-            self.gens.append(
-                _Generator(degree=d, lead=monos[leads[c]], poly=polys[c])
-            )
+    def _install_generators(self, d, new_cols, orbit_of, leads) -> None:
+        for c in new_cols:
+            poly = {mono: 1 for mono, oid in orbit_of.items() if oid == c}
+            self.gens.append(_Generator(degree=d, lead=leads[c], poly=poly))
 
-    def _verify_new_generators(self, ordered_keys, build, dim, new_cols) -> None:
+    def _verify_new_generators(self, rows, dim, new_cols) -> None:
         """Independent exact check: appending the new orbit sums to the
         product span must raise the rank by exactly their number."""
-        keys = list(ordered_keys) + [("unit", c) for c in new_cols]
-        pivots = _eliminate(keys, build, dim, None)
+        units = ({c: 1} for c in new_cols)
+        pivots = _eliminate(itertools.chain(rows, units), dim, None)
         if len(pivots) != dim:
             raise AssertionError(
                 f"product span plus {len(new_cols)} new generators has rank "
@@ -454,22 +441,20 @@ class _RingScan:
     def run(self) -> GeneratorDegreeResult:
         new_by_degree: list[tuple[int, int]] = []
         dims: list[int] = []
-        verified = 0
         for d in range(1, self.cap + 1):
             try:
                 _check_monomial_budget(self.n, d, self.budget)
-                count = self._scan_degree(d)
+                dim, count = self._scan_degree(d)
             except BudgetError:
                 break
             if count:
                 new_by_degree.append((d, count))
-            dims.append(self._record_dim)
-            verified = d
+            dims.append(dim)
         max_deg = max((d for d, _ in new_by_degree), default=0)
         return GeneratorDegreeResult(
             n=self.n,
             cap=self.cap,
-            verified_up_to=verified,
+            verified_up_to=len(dims),
             new_by_degree=tuple(new_by_degree),
             max_generator_degree=max_deg,
             dims=tuple(dims),
@@ -601,15 +586,20 @@ def check_conjectures(
     scan = generator_degrees(
         gens, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
     )
+    aut_order = len(aut.generators)
     full_cap = full_certification_cap(n)
+    beta = scan.max_generator_degree
+    for name, bound in (("Noether's bound |Aut|", aut_order), ("Goebel's bound", full_cap)):
+        if beta > bound:
+            raise AssertionError(f"generator degree {beta} exceeds {name} = {bound}")
     return ConjectureReport(
         graph6=canonical_graph6(graph),
         n=n,
-        aut_order=len(aut.generators),
+        aut_order=aut_order,
         orbit_sizes=orbit_sizes,
         max_orbit=max_orbit,
         new_by_degree=scan.new_by_degree,
-        beta_proxy=scan.max_generator_degree,
+        beta_proxy=beta,
         cap=cap,
         verified_up_to=scan.verified_up_to,
         invariant_dims=scan.dims,

@@ -25,13 +25,9 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _block_starts(t: TypedNodeSet) -> np.ndarray:
-    return np.cumsum([0] + list(t.type_sizes[:-1]))
-
-
 def _block_sums(t: TypedNodeSet, x: np.ndarray) -> np.ndarray:
     """Per-type sums; shape (m,) for vectors, (m, c) for channel stacks."""
-    return np.add.reduceat(x, _block_starts(t), axis=0)
+    return np.add.reduceat(x, t._block_starts, axis=0)
 
 
 def _per_node(t: TypedNodeSet, per_block: np.ndarray) -> np.ndarray:

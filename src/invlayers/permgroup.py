@@ -11,7 +11,10 @@ explicit cap that raises instead of truncating.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
@@ -125,20 +128,21 @@ class TypedNodeSet:
     def m(self) -> int:
         return len(self.type_sizes)
 
+    @cached_property
+    def _block_starts(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.type_sizes[:-1], initial=0))
+
     def block(self, j: int) -> range:
-        start = sum(self.type_sizes[:j])
+        start = self._block_starts[j]
         return range(start, start + self.type_sizes[j])
 
     def blocks(self) -> list[range]:
-        return [self.block(j) for j in range(self.m)]
+        return [range(s, s + size) for s, size in zip(self._block_starts, self.type_sizes)]
 
     def type_of(self, node: int) -> int:
         if not 0 <= node < self.n:
             raise ValueError(f"node {node} out of range")
-        for j, block in enumerate(self.blocks()):
-            if node in block:
-                return j
-        raise AssertionError
+        return bisect.bisect_right(self._block_starts, node) - 1
 
 
 def young_generators(t: TypedNodeSet) -> PermGroupSpec:

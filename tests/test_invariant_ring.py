@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import itertools
 import json
 
 import pytest
 
+from invlayers import invariant_ring
 from invlayers.budgets import Budgets
 from invlayers.errors import BudgetError
 from invlayers.graphs import Graph, enumerate_graphs
@@ -148,6 +150,15 @@ def test_molien_equals_orbit_dims(spec):
     coeffs = molien_hilbert_coeffs(spec, 6)
     for degree in range(7):
         assert coeffs[degree] == invariant_dim_by_degree(spec, degree)
+
+
+def test_degrees_beyond_one_byte_exponents():
+    # exponents above 255 need packed fields wider than 8 bits
+    s2 = young_generators(TypedNodeSet((2,)))
+    assert invariant_dim_by_degree(s2, 300) == molien_hilbert_coeffs(s2, 300)[300] == 151
+    res = generator_degrees(s2, 300)
+    assert res.new_by_degree == ((1, 1), (2, 1))
+    assert res.verified_up_to == 300
 
 
 # -------------------------------------------------------- generator degrees
@@ -303,13 +314,36 @@ def test_trivial_automorphisms_give_beta_one():
 
 
 def test_modular_report_matches_exact():
-    star = graph(4, (0, 3), (1, 3), (2, 3))
-    exact = check_conjectures(star, arithmetic="exact")
-    modular = check_conjectures(star, arithmetic="modular")
-    assert exact.new_by_degree == modular.new_by_degree
-    assert exact.a_verdict == modular.a_verdict
-    assert exact.arithmetic == "exact"
-    assert modular.arithmetic == "modular"
+    for g in (g for n in range(1, 6) for g in enumerate_graphs(n)):
+        exact = check_conjectures(g, "full", arithmetic="exact")
+        modular = check_conjectures(g, "full", arithmetic="modular")
+        assert exact.arithmetic == "exact"
+        assert modular.arithmetic == "modular"
+        assert dataclasses.replace(modular, arithmetic="exact") == exact
+
+
+def _overstate_beta(monkeypatch, beta):
+    """Make the scan report a generator degree no correct scan can give."""
+    real = invariant_ring.generator_degrees
+
+    def wrong(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), max_generator_degree=beta)
+
+    monkeypatch.setattr(invariant_ring, "generator_degrees", wrong)
+
+
+def test_report_checks_noether_bound(monkeypatch):
+    path5 = graph(5, (0, 1), (1, 2), (2, 3), (3, 4))  # |Aut| = 2, Goebel cap 10
+    _overstate_beta(monkeypatch, 3)
+    with pytest.raises(AssertionError, match="Noether"):
+        check_conjectures(path5)
+
+
+def test_report_checks_goebel_bound(monkeypatch):
+    k4 = complete_graph(4)  # |Aut| = 24, Goebel cap 6
+    _overstate_beta(monkeypatch, 7)
+    with pytest.raises(AssertionError, match="Goebel"):
+        check_conjectures(k4, "full")
 
 
 # ----------------------------------------------------------------- sweep/IO

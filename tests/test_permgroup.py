@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,21 @@ def test_typed_node_set():
         TypedNodeSet((2, 0))
     with pytest.raises(ValueError):
         TypedNodeSet(())
+
+
+def test_typed_node_set_blocks_read_cached_starts():
+    t = TypedNodeSet((3, 1, 4))
+    expected = [range(0, 3), range(3, 4), range(4, 8)]
+    for _ in range(2):  # the second pass reads the cached starts
+        blocks = t.blocks()
+        assert type(blocks) is list and blocks == expected
+        assert [t.block(j) for j in range(t.m)] == expected
+        assert vars(t)["_block_starts"] == (0, 3, 4)
+    blocks.append(range(0))  # callers get a fresh list each time
+    assert t.blocks() == expected
+    fresh = TypedNodeSet((3, 1, 4))
+    assert t == fresh and hash(t) == hash(fresh)
+    assert pickle.loads(pickle.dumps(t)).blocks() == expected
 
 
 def test_young_generators_counts():
