@@ -171,6 +171,17 @@ def verify_diagonalization(d: int, trials: int = 50, seed: int = 0) -> float:
 # --------------------------------------------------------------- image I/O
 
 
+def _json_fields(path: str, *fields: str) -> list:
+    """The named fields of the JSON object in a file; ValueError naming the
+    first one missing."""
+    with open(path, encoding="utf-8") as fp:
+        data = json.load(fp)
+    for field in fields:
+        if not isinstance(data, dict) or field not in data:
+            raise ValueError(f"{path} is not a JSON object with a {field!r} field")
+    return [data[field] for field in fields]
+
+
 @dataclasses.dataclass
 class GridImage:
     """A square d x d real-valued image."""
@@ -190,9 +201,8 @@ class GridImage:
         for any other suffix, from CSV (d rows of d comma-separated reals)."""
         path = os.fspath(path)
         if path.endswith(".json"):
-            with open(path, encoding="utf-8") as fp:
-                data = json.load(fp)
-            return cls(np.asarray(data["pixels"], dtype=float))
+            (pixels,) = _json_fields(path, "pixels")
+            return cls(np.asarray(pixels, dtype=float))
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
     def save(self, path) -> None:
@@ -224,9 +234,8 @@ class SpectralImage:
 
     @classmethod
     def load(cls, path) -> "SpectralImage":
-        with open(os.fspath(path), encoding="utf-8") as fp:
-            data = json.load(fp)
-        return cls(np.asarray(data["re"], float) + 1j * np.asarray(data["im"], float))
+        real, imag = _json_fields(os.fspath(path), "re", "im")
+        return cls(np.asarray(real, float) + 1j * np.asarray(imag, float))
 
     def save(self, path) -> None:
         payload = {
@@ -260,8 +269,3 @@ def selftest() -> None:
     x = rng.standard_normal((4, 4))
     assert np.max(np.abs(idft2(dft2(x)) - x)) <= 1e-12
     assert verify_diagonalization(3, trials=5, seed=0) <= 1e-9
-
-
-if __name__ == "__main__":  # pragma: no cover
-    selftest()
-    print("cyclic selftest ok")

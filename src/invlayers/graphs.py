@@ -5,10 +5,13 @@ Graphs are stored as tuples of adjacency bitmask rows, so everything is
 hashable and comparisons are cheap.  Canonical labeling picks the vertex
 order whose column-major upper-triangle bitstring is lexicographically
 minimal, found by branch-and-bound; two graphs are isomorphic exactly when
-their canonical graph6 strings match.  Enumeration extends each (n-1)-vertex
-class by one new vertex attached to every possible neighbor subset and
-dedupes canonically, which reproduces the known class counts
-1, 2, 4, 11, 34, 156, 1044 for n = 1..7.
+their canonical graph6 strings match.  The same search keeps every order
+that ties the minimum, and the automorphisms are the maps between those
+orders (the equivalent leaves of McKay's canonical search tree, "Practical
+Graph Isomorphism", 1981), so one search serves both.  Enumeration
+extends each (n-1)-vertex class by one new vertex attached to every
+possible neighbor subset and dedupes canonically, which reproduces the
+known class counts 1, 2, 4, 11, 34, 156, 1044 for n = 1..7.
 """
 
 from __future__ import annotations
@@ -197,16 +200,20 @@ def write_graph6_file(path, graphs: Iterable[Graph]) -> None:
 # -------------------------------------------------------- canonical labeling
 
 
-def canonical_relabeling(g: Graph) -> Permutation:
-    """A permutation sending g to its canonical labeling: the vertex order
-    minimizing the column-major upper-triangle bitstring, by depth-first
-    branch and bound over partial orders with prefix pruning."""
-    n = g.n
-    if n == 0:
-        return Permutation(())
+def _optimal_orders(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex order minimizing the column-major upper-triangle
+    bitstring, in the order a depth-first branch and bound reaches them.
+
+    Two optimal orders give the same canonical graph, so the map between
+    them is an automorphism; an automorphism composed with an optimal order
+    gives another.  There is one optimal order per automorphism.  The
+    search prunes only prefixes strictly greater than the best string so
+    far, and the best string only decreases, so no tie of the final best is
+    cut.
+    """
     rows = g.rows
     best_cols: list[int] | None = None
-    best_order: list[int] | None = None
+    orders: list[tuple[int, ...]] = []
 
     def column_value(placed: list[int], v: int) -> int:
         # bits of adjacency between v and the placed prefix, earliest
@@ -218,11 +225,13 @@ def canonical_relabeling(g: Graph) -> Permutation:
         return val
 
     def search(placed: list[int], cols: list[int], remaining: set[int]) -> None:
-        nonlocal best_cols, best_order
+        nonlocal best_cols
         if not remaining:
             if best_cols is None or cols < best_cols:
                 best_cols = list(cols)
-                best_order = list(placed)
+                orders.clear()
+            if cols == best_cols:
+                orders.append(tuple(placed))
             return
         depth = len(cols)
         scored = sorted((column_value(placed, v), v) for v in remaining)
@@ -238,15 +247,20 @@ def canonical_relabeling(g: Graph) -> Permutation:
             cols.pop()
             placed.pop()
 
-    for start in range(n):
-        placed = [start]
-        remaining = set(range(n)) - {start}
-        search(placed, [], remaining)
-    assert best_order is not None
-    # best_order[p] = original vertex at canonical position p; the
-    # relabeling permutation maps original vertex -> its position
-    image = [0] * n
-    for position, vertex in enumerate(best_order):
+    # the first vertex has an empty column, so every start ties at 0
+    search([], [], set(range(g.n)))
+    return orders
+
+
+def canonical_relabeling(g: Graph) -> Permutation:
+    """A permutation sending g to its canonical labeling: the first vertex
+    order, in search order, minimizing the column-major upper-triangle
+    bitstring."""
+    # order[p] = original vertex at canonical position p; the relabeling
+    # permutation maps original vertex -> its position
+    order = _optimal_orders(g)[0]
+    image = [0] * g.n
+    for position, vertex in enumerate(order):
         image[vertex] = position
     return Permutation(tuple(image))
 
@@ -305,53 +319,25 @@ def _enumerate_cached(n: int) -> tuple[Graph, ...]:
 # ------------------------------------------------------------ automorphisms
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated neighborhood color refinement starting from degrees;
-    automorphisms preserve the resulting colors."""
-    colors = list(g.degree_sequence())
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[u] for u in range(g.n) if g.rows[v] >> u & 1)))
-            for v in range(g.n)
-        ]
-        palette = {sig: idx for idx, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
-
-
 def automorphism_group(g: Graph) -> PermGroupSpec:
-    """Every adjacency-preserving permutation, listed exhaustively.
+    """Every adjacency-preserving permutation, listed exhaustively and
+    sorted by image.
 
-    The returned spec's ``generators`` field holds the *full* element list
-    (identity included), so callers may sum over it directly; use
-    :func:`automorphism_generators` for a small generating set.
+    The elements are read off the canonical search: each maps the first
+    optimal vertex order to another optimal order.  The returned spec's
+    ``generators`` field holds the *full* element list (identity included),
+    so callers may sum over it directly; use :func:`automorphism_generators`
+    for a small generating set.
     """
-    n = g.n
-    colors = _refine_colors(g)
+    first, *_ = orders = _optimal_orders(g)
     elements: list[Permutation] = []
-    image: list[int] = []
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            elements.append(Permutation(tuple(image)))
-            return
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
-                continue
-            if any(g.has_edge(v, u) != g.has_edge(w, image[u]) for u in range(v)):
-                continue
-            used[w] = True
-            image.append(w)
-            extend(v + 1)
-            image.pop()
-            used[w] = False
-
-    extend(0)
+    for order in orders:
+        image = [0] * g.n
+        for u, v in zip(first, order):
+            image[u] = v
+        elements.append(Permutation(tuple(image)))
     elements.sort(key=lambda p: p.image)
-    return PermGroupSpec(n=n, generators=tuple(elements))
+    return PermGroupSpec(n=g.n, generators=tuple(elements))
 
 
 def automorphism_generators(g: Graph) -> PermGroupSpec:
@@ -374,8 +360,3 @@ def selftest() -> None:
     assert canonical_graph6(star) == canonical_graph6(
         star.relabel(Permutation((2, 0, 1, 3)))
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    selftest()
-    print("graphs selftest ok")

@@ -340,31 +340,34 @@ class _RingScan:
             self._products[key] = cached
         return cached
 
-    def _multisets(self, d: int) -> list[tuple[int, ...]]:
-        """All multisets of generator indices with total degree d and at
-        least two factors, as nondecreasing index tuples."""
-        out: list[tuple[int, ...]] = []
+    def _multisets(self, d: int):
+        """Yield every multiset of generator indices with total degree d
+        and at least two factors, as a nondecreasing index tuple, with its
+        predicted lead (the sum of its factors' leads)."""
         limit = self.budget.tuple_enumeration
         gens = self.gens
+        count = 0
 
-        def rec(start: int, remaining: int, count: int, prefix: list[int]) -> None:
+        def rec(start: int, remaining: int, prefix: list[int], lead: int):
+            nonlocal count
             if remaining == 0:
-                if count >= 2:
-                    out.append(tuple(prefix))
-                    if len(out) > limit:
+                if len(prefix) >= 2:
+                    count += 1
+                    if count > limit:
                         raise BudgetError(
                             f"more than {limit} generator products at degree {d}"
                         )
+                    yield tuple(prefix), lead
                 return
             for i in range(start, len(gens)):
-                if gens[i].degree > remaining:
+                gen = gens[i]
+                if gen.degree > remaining:
                     break  # generators are stored in nondecreasing degree
                 prefix.append(i)
-                rec(i, remaining - gens[i].degree, count + 1, prefix)
+                yield from rec(i, remaining - gen.degree, prefix, lead + gen.lead)
                 prefix.pop()
 
-        rec(0, d, 0, [])
-        return out
+        return rec(0, d, [], 0)
 
     # ---- per-degree processing
 
@@ -389,11 +392,10 @@ class _RingScan:
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
-        gens = self.gens
         first_by_col: dict[int, tuple[int, ...]] = {}
         extras: list[tuple[int, ...]] = []
-        for key in self._multisets(d):
-            col = orbit_of[sum(gens[i].lead for i in key)]
+        for key, lead in self._multisets(d):
+            col = orbit_of[lead]
             if col in first_by_col:
                 extras.append(key)
             else:
@@ -738,8 +740,3 @@ def selftest() -> None:
     assert report.a_verdict == "true" and report.b_verdict == "true"
     result = sweep(2)
     assert all(r.a_verdict == "true" for r in result.reports)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    selftest()
-    print("invariant_ring selftest ok")

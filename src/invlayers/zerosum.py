@@ -373,8 +373,3 @@ def selftest() -> None:
     assert total == s
     cert = max_generator_degree_translation(2)
     assert cert.degree == 3 and cert.indecomposable_verified
-
-
-if __name__ == "__main__":  # pragma: no cover
-    selftest()
-    print("zerosum selftest ok")

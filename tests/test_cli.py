@@ -325,6 +325,32 @@ def test_dft_side_mismatch_exits_one(capsys, tmp_path):
     assert "--d" in err
 
 
+def test_dft_input_without_pixels_exits_one(capsys, tmp_path):
+    img = tmp_path / "x.json"
+    img.write_text('{"d": 2}')
+    code, _, err = run(capsys, ["dft", "--in", str(img), "--out", str(tmp_path / "z.json")])
+    assert code == 1
+    assert err.startswith("error:") and "'pixels'" in err
+    img.write_text("[[1.0, 2.0], [3.0, 4.0]]")
+    code, _, err = run(capsys, ["dft", "--in", str(img), "--out", str(tmp_path / "z.json")])
+    assert code == 1
+    assert "'pixels'" in err
+
+
+def test_dft_inverse_input_without_re_or_im_exits_one(capsys, tmp_path):
+    spec = tmp_path / "z.json"
+    out = str(tmp_path / "y.csv")
+    for payload, field in [
+        ('{"re": [[1.0]]}', "'im'"),
+        ('{"im": [[1.0]]}', "'re'"),
+        ("[[1.0]]", "'re'"),
+    ]:
+        spec.write_text(payload)
+        code, _, err = run(capsys, ["dft", "--inverse", "--in", str(spec), "--out", out])
+        assert code == 1
+        assert err.startswith("error:") and field in err
+
+
 def test_dft_requires_a_mode(capsys):
     code, _, err = run(capsys, ["dft", "--d", "4"])
     assert code == 1

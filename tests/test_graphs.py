@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -217,9 +218,23 @@ def test_automorphism_orders():
 
 
 def test_automorphisms_match_brute_force():
-    for g in [PATH_3, PATH_4, CYCLE_4, K4, STAR_3, graph(4), graph(3, (0, 1))]:
-        got = {p.image for p in automorphism_group(g).generators}
-        assert got == brute_automorphisms(g)
+    rng = np.random.default_rng(11)
+    for g in [g for n in range(6) for g in enumerate_graphs(n)]:
+        moved = g.relabel(Permutation(tuple(map(int, rng.permutation(g.n)))))
+        for h in (g, moved):
+            got = [p.image for p in automorphism_group(h).generators]
+            assert got == sorted(brute_automorphisms(h))
+
+
+def test_automorphism_orders_satisfy_orbit_stabilizer():
+    # each class with automorphism group A has n!/|A| labelings, and the
+    # classes together cover all 2^(n(n-1)/2) labeled graphs
+    for n in range(7):
+        labeled = sum(
+            math.factorial(n) // len(automorphism_group(g).generators)
+            for g in enumerate_graphs(n)
+        )
+        assert labeled == 2 ** (n * (n - 1) // 2)
 
 
 def test_automorphism_group_is_closed():

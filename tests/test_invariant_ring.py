@@ -8,7 +8,7 @@ import pytest
 from invlayers import invariant_ring
 from invlayers.budgets import Budgets
 from invlayers.errors import BudgetError
-from invlayers.graphs import Graph, enumerate_graphs
+from invlayers.graphs import Graph, automorphism_group, enumerate_graphs
 from invlayers.invariant_ring import (
     ConjectureReport,
     check_conjectures,
@@ -27,6 +27,7 @@ from invlayers.permgroup import (
     TypedNodeSet,
     cyclic_generators,
     group_closure,
+    vertex_orbits,
     young_generators,
 )
 
@@ -319,6 +320,40 @@ def test_modular_report_matches_exact():
         modular = check_conjectures(g, "full", arithmetic="modular")
         assert exact.arithmetic == "exact"
         assert modular.arithmetic == "modular"
+        assert dataclasses.replace(modular, arithmetic="exact") == exact
+
+
+# (|Aut|, vertex orbit sizes) of the n=6 classes in the benchmark's sample
+SIX_SAMPLE_SIGNATURES = [
+    (1, (1, 1, 1, 1, 1, 1)),
+    (2, (2, 1, 1, 1, 1)),
+    (720, (6,)),
+    (2, (2, 2, 1, 1)),
+    (4, (2, 2, 1, 1)),
+    (48, (4, 2)),
+    (16, (4, 2)),
+    (120, (5, 1)),
+    (6, (3, 1, 1, 1)),
+    (4, (2, 2, 2)),
+    (8, (2, 2, 2)),
+    (36, (3, 3)),
+    (8, (4, 1, 1)),
+    (12, (3, 2, 1)),
+    (24, (4, 1, 1)),
+]
+
+
+def test_modular_report_matches_exact_on_six_vertex_sample():
+    first = {}
+    for g in enumerate_graphs(6):  # graph6 order
+        aut = automorphism_group(g)
+        sizes = sorted((len(o) for o in vertex_orbits(aut)), reverse=True)
+        first.setdefault((len(aut.generators), tuple(sizes)), g)
+    for signature in SIX_SAMPLE_SIGNATURES:
+        g = first[signature]
+        exact = check_conjectures(g, "2n", arithmetic="exact")
+        modular = check_conjectures(g, "2n", arithmetic="modular")
+        assert (exact.aut_order, exact.orbit_sizes) == signature
         assert dataclasses.replace(modular, arithmetic="exact") == exact
 
 
