@@ -13,7 +13,11 @@ Every monomial is one packed int: its exponents sit in fixed-width bit
 fields, the first variable most significant, each field wide enough for the
 largest degree in play.  Descending int order is then descending lex order,
 and a product of monomials is the sum of their ints, with no carries (the
-packed monomials of Monagan and Pearce, ISSAC 2009).
+packed monomials of Monagan and Pearce, ISSAC 2009).  The monomials of a
+degree are enumerated once, as rows of exponents in a numpy array; each
+generator acts on them as a column permutation, and the orbits come from
+``permgroup._orbit_labels``, the min-label propagation kernel that also
+computes vertex and tuple orbits.
 
 Ranks are certified three ways, cheapest first.  Products of orbit sums
 have lead coefficient exactly 1 and lead monomial equal to the sum of the
@@ -43,6 +47,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .budgets import DEFAULT, Budgets
 from .errors import BudgetError
 from .graphs import (
@@ -56,6 +62,7 @@ from .graphs import (
 from .permgroup import (
     PermGroupSpec,
     Permutation,
+    _orbit_labels,
     group_closure,
     reduce_generators,
     vertex_orbits,
@@ -91,23 +98,35 @@ def _width(degree: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
-    """All packed monomials of total degree d on n variables, in descending
-    order.  Exponents sit in fixed-width fields with the first variable
-    most significant, so descending int order is descending lex order and a
-    product of monomials is the sum of their packed ints."""
+def _exponent_rows(n: int, d: int) -> np.ndarray:
+    """The exponent vectors of all degree-d monomials on n variables, one
+    row each, in descending lex order.  The array is cached, so it is
+    read-only and held in the smallest unsigned dtype that fits d.
+
+    Stars and bars: n - 1 bars among d + n - 1 slots, the exponents being
+    the gaps between them; ascending bar positions give ascending lex
+    order, so the rows are reversed."""
     if n == 0:
-        return (0,) if d == 0 else ()
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _monomials(n - 1, d - first, width):
-            out.append(first << width * (n - 1) | rest)
-    return tuple(out)
+        rows = np.zeros((int(d == 0), 0), dtype=np.uint8)
+    else:
+        bars = np.array(list(itertools.combinations(range(d + n - 1), n - 1)), dtype=np.intp)
+        gaps = np.diff(bars, axis=1, prepend=-1, append=d + n - 1) - 1
+        rows = gaps[::-1].astype(np.min_scalar_type(d))
+    rows.flags.writeable = False
+    return rows
 
 
-def _unpack(mono: int, n: int, width: int) -> tuple[int, ...]:
-    mask = (1 << width) - 1
-    return tuple(mono >> (width * (n - 1 - i)) & mask for i in range(n))
+@functools.lru_cache(maxsize=None)
+def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
+    """The packed degree-d monomials on n variables, in the order of
+    ``_exponent_rows`` (descending).  Exponents sit in fixed-width fields
+    with the first variable most significant, so descending int order is
+    descending lex order and a product of monomials is the sum of their
+    packed ints.  Python ints: the fields can exceed 64 bits."""
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    return tuple(
+        sum(e << s for e, s in zip(row, shifts)) for row in _exponent_rows(n, d).tolist()
+    )
 
 
 def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
@@ -122,34 +141,21 @@ def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
 def _orbit_partition(spec: PermGroupSpec, d: int, width: int):
     """Partition the packed degree-d monomials into group orbits.
 
-    Returns (orbit id per monomial, lead monomial per orbit).  Monomials
-    are scanned in descending order, so each orbit is discovered at its
-    lex-max member and orbit ids are sorted by descending lead.
+    Returns (orbit id per monomial, lead monomial per orbit).  Each
+    generator permutes the columns of the exponent rows.  The row set is
+    closed under the group, so sorting the permuted rows into descending
+    lex order (a reversed ``lexsort``) names, for each row, the row mapped
+    onto it; ``argsort`` inverts that into each row's image.  An orbit's
+    smallest row index is its lex-max member, so orbit ids are sorted by
+    descending lead.
     """
-    n = spec.n
-    mask = (1 << width) - 1
-    shifts = [width * (n - 1 - i) for i in range(n)]
-    moves = [[shifts[j] for j in g.image] for g in spec.generators]
-    orbit_of: dict[int, int] = {}
-    leads: list[int] = []
-    for mono in _monomials(n, d, width):
-        if mono in orbit_of:
-            continue
-        oid = len(leads)
-        leads.append(mono)
-        orbit_of[mono] = oid
-        stack = [mono]
-        while stack:
-            cur = stack.pop()
-            exps = [cur >> s & mask for s in shifts]
-            for move in moves:
-                t = 0
-                for e, s in zip(exps, move):
-                    t |= e << s
-                if t not in orbit_of:
-                    orbit_of[t] = oid
-                    stack.append(t)
-    return orbit_of, leads
+    rows = _exponent_rows(spec.n, d)
+    # lexsort needs at least one key; on no variables every generator is the identity
+    gens = spec.generators if spec.n else ()
+    images = [np.argsort(np.lexsort(rows[:, g.image[::-1]].T)[::-1]) for g in gens]
+    firsts, ids = np.unique(_orbit_labels(len(rows), images), return_inverse=True)
+    monos = _monomials(spec.n, d, width)
+    return dict(zip(monos, ids.tolist())), [monos[i] for i in firsts.tolist()]
 
 
 def invariant_dim_by_degree(
@@ -176,8 +182,8 @@ def monomial_orbit_sums(
     orbit_of, leads = _orbit_partition(spec, degree, width)
     members: list[list[tuple[int, ...]]] = [[] for _ in leads]
     # scanning in descending order sorts each member list, lead first
-    for mono in _monomials(n, degree, width):
-        members[orbit_of[mono]].append(_unpack(mono, n, width))
+    for mono, row in zip(_monomials(n, degree, width), _exponent_rows(n, degree).tolist()):
+        members[orbit_of[mono]].append(tuple(row))
     return [tuple(ms) for ms in members]
 
 

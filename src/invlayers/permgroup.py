@@ -4,9 +4,11 @@ exact orbit machinery.
 Three group families appear throughout: typed symmetric groups (direct
 products of symmetric groups on contiguous node blocks), the cyclic
 shift on n points, and the two-dimensional translation group acting on a
-d x d pixel grid.  Orbits are computed by flood fill over the generator
-action; element listings go through breadth-first closure with an
-explicit cap that raises instead of truncating.
+d x d pixel grid.  Every orbit computation (on points, on k-tuples, and on
+the monomials of ``invariant_ring``) goes through one numpy kernel,
+``_orbit_labels``, which propagates the smallest point of each orbit
+along the generator maps; element listings go through breadth-first
+closure with an explicit cap that raises instead of truncating.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import BudgetError
@@ -219,24 +223,29 @@ def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
     return gens
 
 
-def _tuple_action_maps(spec: PermGroupSpec, k: int) -> tuple[int, list[list[int]]]:
-    # Encode k-tuples over 0..n-1 in base n, most significant digit first.
-    n = spec.n
-    total = n**k
-    powers = [n ** (k - 1 - pos) for pos in range(k)]
-    maps = []
-    for g in spec.generators:
-        img = g.image
-        table = [0] * total
-        for idx in range(total):
-            rem = idx
-            enc = 0
-            for p in powers:
-                digit, rem = divmod(rem, p)
-                enc += img[digit] * p
-            table[idx] = enc
-        maps.append(table)
-    return total, maps
+def _orbit_labels(size: int, images: Sequence[Sequence[int]]) -> np.ndarray:
+    """Label each point ``0..size-1`` with the smallest point of its orbit,
+    where ``images[g][x]`` is the image of point x under generator g.
+
+    Every label stays a point of its own orbit: a round takes the minimum
+    over each generator's images and over each generator's power
+    g^(2^r), then jumps each label to its own label.  Squaring the powers
+    every round moves labels along a cycle of length L in about log2(L)
+    rounds instead of L.  The loop stops when the generator maps
+    themselves lower no label: then labels[x] <= labels[g(x)] for every
+    x and g, so labels are constant along each cycle, hence on each orbit,
+    and the smallest point carries its own label.
+    """
+    labels = np.arange(size)
+    maps = np.asarray(images, dtype=np.intp).reshape(len(images), size)
+    powers = np.take_along_axis(maps, maps, axis=1)
+    while True:
+        lowered = np.minimum(labels, labels[maps].min(axis=0, initial=size))
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = np.minimum(lowered, labels[powers].min(axis=0, initial=size))
+        powers = np.take_along_axis(powers, powers, axis=1)
+        labels = labels[labels]
 
 
 def orbit_count_on_tuples(
@@ -256,23 +265,11 @@ def orbit_count_on_tuples(
             f"{spec.n}**{k} tuples exceed budget {budget}; "
             "consider burnside_count instead"
         )
-    total, maps = _tuple_action_maps(spec, k)
-    seen = bytearray(total)
-    count = 0
-    for start in range(total):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            idx = stack.pop()
-            for table in maps:
-                nxt = table[idx]
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    stack.append(nxt)
-    return count
+    # a k-tuple is its base-n index, the flat index into an n x ... x n grid
+    grid = np.arange(spec.n**k).reshape((spec.n,) * k)
+    images = [grid[np.ix_(*[g.image] * k)].ravel() for g in spec.generators]
+    labels = _orbit_labels(grid.size, images)
+    return int(np.count_nonzero(labels == np.arange(grid.size)))
 
 
 def burnside_count(spec: PermGroupSpec, k: int, cap: int | None = None) -> int:
@@ -292,25 +289,9 @@ def burnside_count(spec: PermGroupSpec, k: int, cap: int | None = None) -> int:
 
 def vertex_orbits(spec: PermGroupSpec) -> list[list[int]]:
     """Orbits of the group on points, sorted by smallest member."""
-    n = spec.n
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        seen[start] = True
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            orbit.append(i)
-            for g in spec.generators:
-                j = g(i)
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        orbits.append(sorted(orbit))
-    return orbits
+    labels = _orbit_labels(spec.n, [g.image for g in spec.generators])
+    firsts = np.flatnonzero(labels == np.arange(spec.n))
+    return [np.flatnonzero(labels == first).tolist() for first in firsts]
 
 
 def max_orbit_size(spec: PermGroupSpec) -> int:

@@ -273,18 +273,22 @@ def load_basis(fp: IO[str] | str) -> list[BasisElement]:
             doc = json.load(fp)
     except json.JSONDecodeError as e:
         raise BasisFileError(f"line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise BasisFileError("top level is not a JSON object")
     for field in ("n", "k", "type_sizes", "count", "elements"):
         if field not in doc:
             raise BasisFileError(f"missing header field {field!r}")
     n, k = doc["n"], doc["k"]
-    sizes = tuple(doc["type_sizes"])
-    if sum(sizes) != n:
-        raise BasisFileError(f"type_sizes {sizes} do not sum to n={n}")
+    try:
+        t = TypedNodeSet(tuple(doc["type_sizes"]))
+    except (TypeError, ValueError) as e:
+        raise BasisFileError(f"type_sizes: {e}") from e
+    if t.n != n:
+        raise BasisFileError(f"type_sizes {t.type_sizes} do not sum to n={n}")
     if len(doc["elements"]) != doc["count"]:
         raise BasisFileError(
             f"count field says {doc['count']} but {len(doc['elements'])} records present"
         )
-    t = TypedNodeSet(sizes)
     out = []
     for idx, rec in enumerate(doc["elements"]):
         try:
@@ -300,9 +304,9 @@ def load_basis(fp: IO[str] | str) -> list[BasisElement]:
                 tuple(i - 1 for i in row) for row in rec["support"]
             )
             tensor = SparseIndicatorTensor(n, k, support)
+            rebuilt = build_basis_element(desc, t)
         except (KeyError, ValueError, TypeError) as e:
             raise BasisFileError(str(e), record=idx) from e
-        rebuilt = build_basis_element(desc, t)
         if rebuilt.tensor.support != tensor.support:
             raise BasisFileError(
                 "support does not match its descriptor", record=idx

@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from invlayers import invariant_ring
 from invlayers.budgets import Budgets
@@ -30,6 +31,7 @@ from invlayers.permgroup import (
     vertex_orbits,
     young_generators,
 )
+from test_permgroup import small_generator_sets
 
 
 def trivial_group(n):
@@ -101,6 +103,13 @@ def test_dims_match_brute_orbit_oracle(spec):
         assert invariant_dim_by_degree(spec, degree) == brute_dim(spec, degree)
 
 
+@given(small_generator_sets())
+@settings(max_examples=30, deadline=None)
+def test_dims_match_brute_orbit_oracle_random_groups(spec):
+    for degree in range(5):
+        assert invariant_dim_by_degree(spec, degree) == brute_dim(spec, degree)
+
+
 def test_dims_budget():
     with pytest.raises(BudgetError):
         invariant_dim_by_degree(S3, 4, budget=Budgets(monomials_per_degree=10))
@@ -160,6 +169,24 @@ def test_degrees_beyond_one_byte_exponents():
     res = generator_degrees(s2, 300)
     assert res.new_by_degree == ((1, 1), (2, 1))
     assert res.verified_up_to == 300
+
+
+@pytest.mark.parametrize(
+    "spec,cap,monomials,dims,new_by_degree",
+    [
+        (cyclic_generators(13), 31, 500, (1, 7, 35), ((1, 1), (2, 6), (3, 28))),
+        (young_generators(TypedNodeSet((13,))), 31, 500, (1, 2, 3), ((1, 1), (2, 1), (3, 1))),
+        (young_generators(TypedNodeSet((2,))), 2**62, 4, (1, 2, 2), ((1, 1), (2, 1))),
+    ],
+    ids=["C13", "S13", "S2-63-bit-fields"],
+)
+def test_packed_monomials_wider_than_a_machine_word(spec, cap, monomials, dims, new_by_degree):
+    # cap 31 needs 5-bit fields, so 13 variables pack into 65 bits; cap
+    # 2**62 needs 63-bit fields, so x_1 alone is 2**63, past any int64
+    res = generator_degrees(spec, cap, budget=Budgets(monomials_per_degree=monomials))
+    assert res.verified_up_to == 3  # the monomial budget stops degree 4
+    assert res.dims == dims
+    assert res.new_by_degree == new_by_degree
 
 
 # -------------------------------------------------------- generator degrees

@@ -209,6 +209,12 @@ def test_vertex_orbits_and_max_orbit():
     assert vertex_orbits(cyclic_generators(4)) == [[0, 1, 2, 3]]
 
 
+def test_orbits_of_long_cycles():
+    # a cycle of length L takes about log2(L) propagation rounds, not L
+    assert orbit_count_on_tuples(cyclic_generators(1000), 2) == 1000
+    assert vertex_orbits(cyclic_generators(500)) == [list(range(500))]
+
+
 def test_reduce_generators_regenerates_group():
     spec = young_generators(TypedNodeSet((4,)))
     elements = group_closure(spec)
@@ -233,6 +239,14 @@ def small_generator_sets(draw):
 @settings(max_examples=60, deadline=None)
 def test_orbit_count_equals_burnside_random_groups(spec, k):
     assert orbit_count_on_tuples(spec, k) == burnside_count(spec, k)
+
+
+@given(small_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_vertex_orbits_match_closure_random_groups(spec):
+    elements = group_closure(spec)
+    orbits = sorted({tuple(sorted({g(i) for g in elements})) for i in range(spec.n)})
+    assert vertex_orbits(spec) == [list(o) for o in orbits]
 
 
 @given(small_generator_sets())

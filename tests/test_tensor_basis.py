@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -300,8 +301,6 @@ def test_load_rejects_bad_structure():
     basis = build_full_basis(2, T21)
     buf = io.StringIO()
     serialize_basis(basis, buf)
-    import json
-
     doc = json.loads(buf.getvalue())
     doc["elements"][2]["support"] = [[1, 1]]
     with pytest.raises(BasisFileError) as err:
@@ -311,3 +310,32 @@ def test_load_rejects_bad_structure():
     del doc2["count"]
     with pytest.raises(BasisFileError):
         load_basis(io.StringIO(json.dumps(doc2)))
+
+
+def _serialized_doc(sizes, k):
+    buf = io.StringIO()
+    serialize_basis(build_full_basis(k, TypedNodeSet(sizes)), buf)
+    return json.loads(buf.getvalue())
+
+
+def test_load_rejects_record_with_wrong_type_count():
+    doc = _serialized_doc((2, 1), 2)
+    assert doc["elements"][1]["rgs"] == [[0, 1], []]
+    doc["elements"][1]["rgs"] = [[0, 1]]  # lists one type, the file has two
+    with pytest.raises(BasisFileError) as err:
+        load_basis(io.StringIO(json.dumps(doc)))
+    assert err.value.record == 1
+    assert "1 types, node set has 2" in str(err.value)
+
+
+def test_load_rejects_non_object_top_level():
+    with pytest.raises(BasisFileError):
+        load_basis(io.StringIO("7"))
+
+
+def test_load_rejects_empty_type_block():
+    doc = _serialized_doc((2, 1), 1)
+    doc["type_sizes"] = [0, 2, 1]
+    with pytest.raises(BasisFileError) as err:
+        load_basis(io.StringIO(json.dumps(doc)))
+    assert "type_sizes" in str(err.value)
