@@ -77,6 +77,13 @@ def _emit_json(payload: dict, path: Optional[str]) -> None:
             fp.write(text)
 
 
+def _print_oracle(value: int, oracle: int, note: str = "") -> None:
+    """Print the "formula X, oracle Y" line; ValueError when they differ."""
+    print(f"formula {value}, oracle {oracle}")
+    if oracle != value:
+        raise ValueError(f"orbit count {oracle} disagrees with the formula value {value}{note}")
+
+
 # ------------------------------------------------------------------- dims
 
 
@@ -101,11 +108,10 @@ def _cmd_dims(args, budget: Budgets) -> int:
             raise _UsageError(f"--sizes must list exactly m={m} sizes, got {len(sizes)}")
         spec = young_generators(TypedNodeSet(sizes))
         oracle = orbit_count_on_tuples(spec, order, budget.tuple_enumeration)
-        print(f"formula {value}, oracle {oracle}")
-        if oracle != value:
-            raise AssertionError(
-                f"orbit count {oracle} disagrees with the formula value {value}"
-            )
+        note = ""
+        if min(sizes) < order:
+            note = f"; gen_bell assumes every type holds at least k+d={order} nodes"
+        _print_oracle(value, oracle, note)
     else:
         print(value)
     if args.out:
@@ -235,11 +241,7 @@ def _cmd_cyclic_dims(args, budget: Budgets) -> int:
     oracle = None
     if args.oracle:
         oracle = orbit_count_on_tuples(spec, k, budget.tuple_enumeration)
-        print(f"formula {value}, oracle {oracle}")
-        if oracle != value:
-            raise AssertionError(
-                f"orbit count {oracle} disagrees with the formula value {value}"
-            )
+        _print_oracle(value, oracle)
     else:
         print(value)
     if args.out:
@@ -391,7 +393,7 @@ _MAX_SWEEP_N = 7
 
 def _cmd_conjectures(args, budget: Budgets) -> int:
     from .graphs import read_graph6_file
-    from .invariant_ring import report_to_json_dict, reports_csv_text, sweep
+    from .invariant_ring import report_to_json_dict, reports_csv_text, sweep, write_reports_csv
 
     cap_policy = _parse_cap(args.cap)
     if args.infile is not None:
@@ -413,7 +415,6 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
         result = sweep(
             nmax, cap_policy, arithmetic=args.arith, budget=budget, jobs=args.jobs
         )
-    csv_text = reports_csv_text(result.reports)
     summary_lines = []
     for n in sorted(result.summary):
         entry = result.summary[n]
@@ -424,13 +425,12 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
             f"B true={b['true']} capped={b['capped']} false={b['false']}"
         )
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fp:
-            fp.write(csv_text)
+        write_reports_csv(result.reports, args.out)
         print(f"wrote {len(result.reports)} rows to {args.out}")
         for line in summary_lines:
             print(line)
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(reports_csv_text(result.reports))
         for line in summary_lines:
             print(line, file=sys.stderr)
     if args.json_out:

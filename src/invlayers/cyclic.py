@@ -155,6 +155,8 @@ def verify_diagonalization(d: int, trials: int = 50, seed: int = 0) -> float:
     absolute deviation observed."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if trials < 1:
+        raise ValueError(f"need at least one image, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

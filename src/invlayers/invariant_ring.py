@@ -19,6 +19,14 @@ generator acts on them as a column permutation, and the orbits come from
 ``permgroup._orbit_labels``, the min-label propagation kernel that also
 computes vertex and tuple orbits.
 
+Generator products are kept in one table per degree of (key, lead) pairs,
+the key a nondecreasing tuple of generator indices, in lex order of keys
+(the order of the rows handed to the elimination, which sets its fill-in):
+the degree-d table puts generator i in front of the tail, found by
+bisection, of the degree d - deg(g_i) table whose keys start at i or later.
+A product's row is read through one map from orbit lead to column: a
+product of invariants is invariant, so its predicted lead is an orbit lead.
+
 Ranks are certified three ways, cheapest first.  Products of orbit sums
 have lead coefficient exactly 1 and lead monomial equal to the sum of the
 factors' lead monomials, so when every orbit is the predicted lead of some
@@ -37,6 +45,7 @@ conjectured bounds: the vertex count, and the largest automorphism orbit.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import functools
@@ -141,13 +150,13 @@ def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
 def _orbit_partition(spec: PermGroupSpec, d: int, width: int):
     """Partition the packed degree-d monomials into group orbits.
 
-    Returns (orbit id per monomial, lead monomial per orbit).  Each
-    generator permutes the columns of the exponent rows.  The row set is
-    closed under the group, so sorting the permuted rows into descending
-    lex order (a reversed ``lexsort``) names, for each row, the row mapped
-    onto it; ``argsort`` inverts that into each row's image.  An orbit's
-    smallest row index is its lex-max member, so orbit ids are sorted by
-    descending lead.
+    Returns (orbit id per monomial, an int array in ``_monomials`` order;
+    lead monomial per orbit).  Each generator permutes the columns of the
+    exponent rows.  The row set is closed under the group, so sorting the
+    permuted rows into descending lex order (a reversed ``lexsort``) names,
+    for each row, the row mapped onto it; ``argsort`` inverts that into
+    each row's image.  An orbit's smallest row index is its lex-max member,
+    so orbit ids are sorted by descending lead.
     """
     rows = _exponent_rows(spec.n, d)
     # lexsort needs at least one key; on no variables every generator is the identity
@@ -155,7 +164,7 @@ def _orbit_partition(spec: PermGroupSpec, d: int, width: int):
     images = [np.argsort(np.lexsort(rows[:, g.image[::-1]].T)[::-1]) for g in gens]
     firsts, ids = np.unique(_orbit_labels(len(rows), images), return_inverse=True)
     monos = _monomials(spec.n, d, width)
-    return dict(zip(monos, ids.tolist())), [monos[i] for i in firsts.tolist()]
+    return ids, [monos[i] for i in firsts.tolist()]
 
 
 def invariant_dim_by_degree(
@@ -178,12 +187,11 @@ def monomial_orbit_sums(
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     _check_monomial_budget(spec.n, degree, budget)
-    n, width = spec.n, _width(degree)
-    orbit_of, leads = _orbit_partition(spec, degree, width)
+    ids, leads = _orbit_partition(spec, degree, _width(degree))
     members: list[list[tuple[int, ...]]] = [[] for _ in leads]
     # scanning in descending order sorts each member list, lead first
-    for mono, row in zip(_monomials(n, degree, width), _exponent_rows(n, degree).tolist()):
-        members[orbit_of[mono]].append(tuple(row))
+    for oid, row in zip(ids.tolist(), _exponent_rows(spec.n, degree).tolist()):
+        members[oid].append(tuple(row))
     return [tuple(ms) for ms in members]
 
 
@@ -327,6 +335,8 @@ class _RingScan:
             _molien_from_elements(elements, cap) if elements is not None else None
         )
         self.gens: list[_Generator] = []
+        # tables[d]: every generator product of degree d, one factor or more
+        self.tables: list[list[tuple[tuple[int, ...], int]]] = [[]]
         self._products: dict[tuple[int, ...], dict[int, int]] = {}
 
     # ---- generator products
@@ -346,76 +356,62 @@ class _RingScan:
             self._products[key] = cached
         return cached
 
-    def _multisets(self, d: int):
-        """Yield every multiset of generator indices with total degree d
-        and at least two factors, as a nondecreasing index tuple, with its
-        predicted lead (the sum of its factors' leads)."""
+    def _multisets(self, d: int) -> list[tuple[tuple[int, ...], int]]:
+        """The degree-d table before any degree-d generator joins it: every
+        product of two or more generators, as (nondecreasing index tuple,
+        predicted lead) pairs in lex order of the tuples."""
         limit = self.budget.tuple_enumeration
-        gens = self.gens
-        count = 0
-
-        def rec(start: int, remaining: int, prefix: list[int], lead: int):
-            nonlocal count
-            if remaining == 0:
-                if len(prefix) >= 2:
-                    count += 1
-                    if count > limit:
-                        raise BudgetError(
-                            f"more than {limit} generator products at degree {d}"
-                        )
-                    yield tuple(prefix), lead
-                return
-            for i in range(start, len(gens)):
-                gen = gens[i]
-                if gen.degree > remaining:
-                    break  # generators are stored in nondecreasing degree
-                prefix.append(i)
-                yield from rec(i, remaining - gen.degree, prefix, lead + gen.lead)
-                prefix.pop()
-
-        return rec(0, d, [], 0)
+        table: list[tuple[tuple[int, ...], int]] = []
+        for i, gen in enumerate(self.gens):
+            if gen.degree >= d:
+                break  # generators are stored in nondecreasing degree
+            below = self.tables[d - gen.degree]
+            tail = itertools.islice(below, bisect.bisect_left(below, ((i,),)), None)
+            table.extend(((i,) + key, gen.lead + lead) for key, lead in tail)
+            if len(table) > limit:
+                raise BudgetError(f"more than {limit} generator products at degree {d}")
+        return table
 
     # ---- per-degree processing
 
-    def _lead_rows(self, keys, orbit_of, leads):
-        """Each product's coefficients on the orbit leads, keyed by orbit,
+    def _lead_rows(self, keys, col):
+        """Each product's coefficients on the orbit leads, keyed by column,
         built only when the elimination asks for the next row."""
         for key in keys:
-            row = {}
-            for e, c in self._poly(key).items():
-                oid = orbit_of[e]
-                if leads[oid] == e:
-                    row[oid] = c
-            yield row
+            yield {col[e]: c for e, c in self._poly(key).items() if e in col}
 
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
-        orbit_of, leads = _orbit_partition(self.spec, d, self.width)
+        ids, leads = _orbit_partition(self.spec, d, self.width)
         dim = len(leads)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
+        table = self._multisets(d)
+        self.tables.append(table)
+        # a product of invariants is invariant, so its lead is an orbit lead
+        col = {lead: c for c, lead in enumerate(leads)}
         first_by_col: dict[int, tuple[int, ...]] = {}
         extras: list[tuple[int, ...]] = []
-        for key, lead in self._multisets(d):
-            col = orbit_of[lead]
-            if col in first_by_col:
+        for key, lead in table:
+            c = col[lead]
+            if c in first_by_col:
                 extras.append(key)
             else:
-                first_by_col[col] = key
+                first_by_col[c] = key
         if len(first_by_col) == dim:
             # every orbit is the predicted lead of some product; those
             # representatives are triangular with unit lead coefficients,
             # hence full-rank: no new generators, no arithmetic needed
             return dim, 0
         ordered_keys = [first_by_col[c] for c in sorted(first_by_col)] + extras
-        rows = functools.partial(self._lead_rows, ordered_keys, orbit_of, leads)
+        rows = functools.partial(self._lead_rows, ordered_keys, col)
         new_cols = self._rank_deficit(rows, dim)
         if new_cols:
-            self._install_generators(d, new_cols, orbit_of, leads)
+            self._install_generators(d, new_cols, ids, leads)
             self._verify_new_generators(rows(), dim, new_cols)
         return dim, len(new_cols)
 
@@ -430,9 +426,12 @@ class _RingScan:
         pivots = _eliminate(rows(), dim, None)
         return [c for c in range(dim) if c not in pivots]
 
-    def _install_generators(self, d, new_cols, orbit_of, leads) -> None:
+    def _install_generators(self, d, new_cols, ids, leads) -> None:
+        monos = _monomials(self.n, d, self.width)
         for c in new_cols:
-            poly = {mono: 1 for mono, oid in orbit_of.items() if oid == c}
+            poly = {monos[j]: 1 for j in np.flatnonzero(ids == c).tolist()}
+            # the largest index so far: the table stays in lex order
+            self.tables[d].append(((len(self.gens),), leads[c]))
             self.gens.append(_Generator(degree=d, lead=leads[c], poly=poly))
 
     def _verify_new_generators(self, rows, dim, new_cols) -> None:

@@ -278,6 +278,12 @@ def load_basis(fp: IO[str] | str) -> list[BasisElement]:
     for field in ("n", "k", "type_sizes", "count", "elements"):
         if field not in doc:
             raise BasisFileError(f"missing header field {field!r}")
+    for field in ("n", "k", "count"):
+        value = doc[field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise BasisFileError(f"header field {field!r} is not a nonnegative int: {value!r}")
+    if not isinstance(doc["elements"], list):
+        raise BasisFileError("header field 'elements' is not a list")
     n, k = doc["n"], doc["k"]
     try:
         t = TypedNodeSet(tuple(doc["type_sizes"]))

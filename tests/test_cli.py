@@ -69,6 +69,16 @@ def test_dims_oracle_matches_formula_more_cases(capsys):
         assert head.removeprefix("formula ") == tail.removeprefix("oracle ")
 
 
+def test_dims_oracle_disagreement_exits_one(capsys):
+    # a type block of 1 node is smaller than the tensor order 2
+    code, out, err = run(capsys, ["dims", "--m", "2", "--k", "2", "--sizes", "2,1", "--oracle"])
+    assert code == 1
+    assert out.strip() == "formula 6, oracle 5"
+    assert err.count("\n") == 1 and err.startswith("error: orbit count 5 disagrees")
+    assert "gen_bell assumes every type holds at least k+d=2 nodes" in err
+    assert "Traceback" not in err
+
+
 def test_dims_report_includes_version_and_config(capsys, tmp_path):
     out_path = tmp_path / "dims.json"
     code, _, _ = run(capsys, ["dims", "--m", "2", "--k", "2", "--out", str(out_path)])
@@ -292,6 +302,14 @@ def test_dft_check_diag_reports_tiny_deviation(capsys):
     assert "deviation" in out
     value = float(out.split("deviation")[1].split()[0])
     assert value <= 1e-9
+
+
+def test_dft_check_diag_without_images_exits_one(capsys):
+    for images in ("0", "-2"):
+        code, out, err = run(capsys, ["dft", "--d", "4", "--check-diag", "--images", images])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "at least one image" in err
 
 
 def test_dft_check_diag_fixed_seed_is_deterministic(capsys):

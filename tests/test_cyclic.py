@@ -225,6 +225,12 @@ def test_verify_diagonalization_deviations():
         assert verify_diagonalization(d, trials=50, seed=2) <= 1e-9
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_verify_diagonalization_needs_an_image(trials):
+    with pytest.raises(ValueError, match="at least one image"):
+        verify_diagonalization(3, trials=trials)
+
+
 # ---------------------------------------------------------------- image I/O
 
 

@@ -241,6 +241,22 @@ def test_generator_budget_degrades_gracefully():
     assert res.new_by_degree == ((1, 1),)
 
 
+def test_generator_product_budget_stops_the_scan():
+    # S3 has generators of degrees 1, 2, 3: 1, 2, 4, 5 and 7 products of
+    # two or more factors at degrees 2 through 6
+    res = generator_degrees(S3, 8, budget=Budgets(tuple_enumeration=2))
+    assert res.verified_up_to == 3
+    assert res.new_by_degree == ((1, 1), (2, 1), (3, 1))
+    res = generator_degrees(S3, 8, budget=Budgets(tuple_enumeration=5))
+    assert res.verified_up_to == 5
+    res = generator_degrees(
+        cyclic_generators(4), 8, arithmetic="modular", budget=Budgets(tuple_enumeration=10)
+    )
+    assert res.verified_up_to == 4
+    assert res.dims == (1, 3, 5, 10)
+    assert res.new_by_degree == ((1, 1), (2, 2), (3, 2), (4, 2))
+
+
 def test_generator_result_dims_match_molien():
     res = generator_degrees(STAR_GROUP, 6)
     assert res.dims == tuple(molien_hilbert_coeffs(STAR_GROUP, 6)[1:])

@@ -333,6 +333,21 @@ def test_load_rejects_non_object_top_level():
         load_basis(io.StringIO("7"))
 
 
+def test_load_rejects_elements_that_are_not_a_list():
+    doc = _serialized_doc((2, 1), 1)
+    doc["elements"] = 5
+    with pytest.raises(BasisFileError, match="'elements' is not a list"):
+        load_basis(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field,value", [("k", "x"), ("n", -1), ("count", 1.0), ("k", True)])
+def test_load_rejects_header_count_that_is_not_a_nonnegative_int(field, value):
+    doc = {"n": 3, "k": 1, "type_sizes": [2, 1], "count": 0, "elements": []}
+    doc[field] = value
+    with pytest.raises(BasisFileError, match=f"{field!r} is not a nonnegative int"):
+        load_basis(io.StringIO(json.dumps(doc)))
+
+
 def test_load_rejects_empty_type_block():
     doc = _serialized_doc((2, 1), 1)
     doc["type_sizes"] = [0, 2, 1]
