@@ -178,6 +178,13 @@ def _load_json_file(path: str, flag: str):
         raise ValueError(f"{flag} file {path} is not valid JSON: {exc}")
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must hold only numbers") from None
+
+
 def _cmd_layer_apply(args, budget: Budgets) -> int:
     from .layers import EquivariantMap, equivariant_forward
     from .permgroup import TypedNodeSet
@@ -185,27 +192,31 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
     weights_path = _require(args, "--weights")
     input_path = _require(args, "--input")
     raw = _load_json_file(weights_path, "--weights")
+    if not isinstance(raw, dict):
+        raise ValueError("--weights file must be a JSON object")
     for field in ("type_sizes", "W", "v"):
         if field not in raw:
             raise ValueError(f"--weights file is missing the {field!r} field")
+    if not isinstance(raw["type_sizes"], list):
+        raise ValueError("--weights field 'type_sizes' must be a list of positive ints")
     t = TypedNodeSet(tuple(raw["type_sizes"]))
     m = t.m
-    W = np.asarray(raw["W"], dtype=float)
+    W = _float_array(raw["W"], "--weights field 'W'")
     if W.size != m * m:
         raise ValueError(f"--weights field W must have m*m = {m*m} entries, got {W.size}")
     W = W.reshape(m, m)
     layer = EquivariantMap(
         types=t,
         W=W,
-        v=np.asarray(raw["v"], dtype=float),
-        c=None if raw.get("c") is None else np.asarray(raw["c"], dtype=float),
+        v=_float_array(raw["v"], "--weights field 'v'"),
+        c=None if raw.get("c") is None else _float_array(raw["c"], "--weights field 'c'"),
     )
     data = _load_json_file(input_path, "--input")
     if isinstance(data, dict):
         if "x" not in data:
             raise ValueError("--input file must be a JSON list or contain an 'x' field")
         data = data["x"]
-    x = np.asarray(data, dtype=float)
+    x = _float_array(data, "--input")
     y = equivariant_forward(layer, x)
     payload = {
         "version": __version__,

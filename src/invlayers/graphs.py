@@ -200,9 +200,12 @@ def write_graph6_file(path, graphs: Iterable[Graph]) -> None:
 # -------------------------------------------------------- canonical labeling
 
 
-def _optimal_orders(g: Graph) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=1)
+def _optimal_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every vertex order minimizing the column-major upper-triangle
     bitstring, in the order a depth-first branch and bound reaches them.
+    The last graph's result is kept, so asking for its automorphisms and
+    its canonical form runs one search.
 
     Two optimal orders give the same canonical graph, so the map between
     them is an automorphism; an automorphism composed with an optimal order
@@ -249,7 +252,7 @@ def _optimal_orders(g: Graph) -> list[tuple[int, ...]]:
 
     # the first vertex has an empty column, so every start ties at 0
     search([], [], set(range(g.n)))
-    return orders
+    return tuple(orders)
 
 
 def canonical_relabeling(g: Graph) -> Permutation:

@@ -13,12 +13,15 @@ invariant exactly when their exponent table is zero-sum, so every invariant
 monomial factors into invariant pieces of degree at most 2d - 1, and some
 invariant of degree exactly 2d - 1 is indecomposable.  Both halves are
 certified here by explicit search.
+
+One subset-sum dynamic program over the d*d possible sums answers every
+exhaustive zero-sum question, including a check of each sequence the
+Davenport search (a second, bitmask algorithm) produces.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections import Counter
 from typing import Iterable, Mapping, Optional
 
@@ -52,7 +55,7 @@ class GroupSequence:
     counts: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"modulus must be a positive integer, got {self.d!r}")
         merged: Counter = Counter()
         for item in self.counts:
@@ -60,13 +63,13 @@ class GroupSequence:
                 (a, b), mult = item
             except (TypeError, ValueError):
                 raise ValueError(f"malformed count entry {item!r}") from None
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
                 raise ValueError(f"element {(a, b)!r} is not an integer pair")
             if not (0 <= a < self.d and 0 <= b < self.d):
                 raise ValueError(
                     f"element {(a, b)} out of range for modulus {self.d}"
                 )
-            if not isinstance(mult, int) or mult < 0:
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 0:
                 raise ValueError(f"multiplicity {mult!r} for {(a, b)} is invalid")
             merged[(a, b)] += mult
         canonical = tuple(
@@ -124,39 +127,17 @@ def is_zero_sum(s: GroupSequence) -> bool:
     return s.sum_mod() == (0, 0)
 
 
-def _zero_sum_sizes(s: GroupSequence):
-    """Yield the size of each zero-sum sub-multiset of s, empty one first."""
-    d = s.d
-    items = s.counts
-    for choice in itertools.product(*(range(m + 1) for _, m in items)):
-        p = sum(a * c for ((a, _), _), c in zip(items, choice)) % d
-        q = sum(b * c for ((_, b), _), c in zip(items, choice)) % d
-        if (p, q) == (0, 0):
-            yield sum(choice)
-
-
-def find_zero_sum_subsequence(
-    s: GroupSequence, budget: Budgets = DEFAULT
+def _first_zero_sum(
+    d: int, elems: list[tuple[int, int]], budget: Budgets
 ) -> Optional[GroupSequence]:
-    """A nonempty zero-sum sub-multiset of s, or None if s is zero-sum free.
-
-    Dynamic program over the d*d possible subset sums, each state keeping
-    one witness sub-multiset.  When the sequence has at least 2d - 1
-    elements only the first 2d - 1 (in canonical order) are examined: the
-    Davenport constant guarantees a witness there, so the returned witness
-    always has degree at most 2d - 1.
-    """
-    if s.degree == 0:
-        return None
-    d = s.d
+    """First nonempty zero-sum sub-multiset of elems found by a dynamic
+    program over the d*d subset sums, each keeping one witness; or None."""
     if d * d > budget.closure_cap:
         raise BudgetError(
             f"subset-sum search needs {d * d} states; budget is {budget.closure_cap}"
         )
-    elems = s.elements()
-    window = elems[: 2 * d - 1] if len(elems) >= 2 * d - 1 else elems
     states: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for e in window:
+    for e in elems:
         ea, eb = e
         additions: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         candidates = [((ea % d, eb % d), (e,))]
@@ -174,21 +155,28 @@ def find_zero_sum_subsequence(
     return None
 
 
+def find_zero_sum_subsequence(
+    s: GroupSequence, budget: Budgets = DEFAULT
+) -> Optional[GroupSequence]:
+    """A nonempty zero-sum sub-multiset of s, or None if s is zero-sum free.
+
+    Runs the subset-sum dynamic program on the first 2d - 1 elements (in
+    canonical order), or on all of them when there are fewer: the
+    Davenport constant guarantees a witness among 2d - 1 elements, so the
+    returned witness always has degree at most 2d - 1.
+    """
+    if s.degree == 0:
+        return None
+    return _first_zero_sum(s.d, s.elements()[: 2 * s.d - 1], budget)
+
+
 def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:
     """Exhaustively confirm that no nonempty sub-multiset of s is zero-sum.
 
-    Cost is the product of (multiplicity + 1) over distinct elements, so
-    sequences with few distinct elements stay cheap at any degree.
+    Runs the subset-sum dynamic program on every element, so the cost
+    grows with the degree times the d*d possible sums.
     """
-    combos = 1
-    for _, m in s.counts:
-        combos *= m + 1
-    if combos > budget.tuple_enumeration:
-        raise BudgetError(
-            f"zero-sum-free check needs {combos} sub-multisets; "
-            f"budget is {budget.tuple_enumeration}"
-        )
-    return all(size == 0 for size in _zero_sum_sizes(s))
+    return _first_zero_sum(s.d, s.elements(), budget) is None
 
 
 def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
@@ -196,16 +184,18 @@ def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
     Z_d x Z_d; returns the length and the first such sequence found.
 
     Depth-first over multisets of nonzero elements in nondecreasing order,
-    carrying the set of achievable nonempty subset sums as a bitmask;
-    a branch dies as soon as (0, 0) becomes achievable.  The length of any
-    zero-sum-free sequence is bounded by d*d - 1 (its prefix sums are
-    distinct and nonzero), so the search terminates without an imposed cap.
+    carrying the set of achievable nonempty subset sums as a bitmask, bit
+    a*d + b for the sum (a, b); a branch dies as soon as (0, 0) becomes
+    achievable.  The length of any zero-sum-free sequence is bounded by
+    d*d - 1 (its prefix sums are distinct and nonzero), so the search
+    terminates without an imposed cap.
     """
     nonzero = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
-    add_tables = []
-    for a, b in nonzero:
-        table = [((a + p) % d) * d + ((b + q) % d) for p in range(d) for q in range(d)]
-        add_tables.append(table)
+    size = d * d
+    full = (1 << size) - 1
+    # wrap[b] holds columns 0..b-1 of every row: after a shift by b
+    # columns, they take the bits that wrapped around the row's end
+    wrap = [sum(((1 << b) - 1) << (r * d) for r in range(d)) for b in range(d)]
     best_len = 0
     best_seq: list[tuple[int, int]] = []
 
@@ -216,13 +206,12 @@ def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
             best_seq = list(chosen)
         for i in range(start, len(nonzero)):
             a, b = nonzero[i]
-            table = add_tables[i]
-            new_mask = mask | (1 << (a * d + b))
-            rest = mask
-            while rest:
-                low = rest & -rest
-                new_mask |= 1 << table[low.bit_length() - 1]
-                rest ^= low
+            # the sums reachable with the new element are the old ones
+            # translated by (a, b): rotate the whole mask by a rows, then
+            # every row by b columns
+            moved = ((mask << a * d) | (mask >> size - a * d)) & full
+            moved = ((moved << b) & (full ^ wrap[b])) | ((moved >> d - b) & wrap[b])
+            new_mask = mask | moved | (1 << a * d + b)
             if new_mask & 1:  # bit 0 is the sum (0, 0)
                 continue
             chosen.append(nonzero[i])
@@ -340,12 +329,15 @@ def max_generator_degree_translation(
     packaged with both halves of the certificate."""
     dav = davenport_constant(d, budget)
     p, q = dav.witness.sum_mod()
-    closing = ((-p) % d, (-q) % d)
-    indecomposable = dav.witness.add(GroupSequence.from_elements(d, [closing]))
+    closing = GroupSequence.from_elements(d, [((-p) % d, (-q) % d)])
+    indecomposable = dav.witness.add(closing)
     if not is_zero_sum(indecomposable):
         raise AssertionError("closing element did not produce a zero-sum sequence")
     degree = indecomposable.degree
-    verified = all(size in (0, degree) for size in _zero_sum_sizes(indecomposable))
+    # a proper nonempty zero-sum part leaves a zero-sum complement, and one
+    # of the two misses the closing element: so the invariant is
+    # indecomposable exactly when it is zero-sum free without that element
+    verified = verify_zero_sum_free(indecomposable.subtract(closing), budget)
     if not verified:
         raise AssertionError("degree-(2d-1) invariant unexpectedly decomposed")
     if degree != 2 * d - 1:

@@ -261,6 +261,26 @@ def test_layer_apply_malformed_weights_exits_one(capsys, tmp_path):
     assert "W" in err
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"type_sizes": 3, "W": [1], "v": [1]}, "type_sizes"),
+        (3, "JSON object"),
+        ([1, 2], "JSON object"),
+        ({"type_sizes": [1], "W": {"a": 1}, "v": [1]}, "'W'"),
+        ({"type_sizes": [1], "W": [1], "v": [1], "c": [{}]}, "'c'"),
+    ],
+)
+def test_layer_apply_wrongly_typed_weights_exit_one(capsys, tmp_path, payload, named):
+    w, x = tmp_path / "w.json", tmp_path / "x.json"
+    w.write_text(json.dumps(payload))
+    x.write_text(json.dumps([1.0]))
+    code, _, err = run(capsys, ["layer-apply", "--weights", str(w), "--input", str(x)])
+    assert code == 1
+    assert err.startswith("error:")
+    assert named in err
+
+
 # ------------------------------------------------------------ cyclic-dims
 
 
@@ -470,6 +490,19 @@ def test_decompose_rejects_out_of_range_entries(capsys, tmp_path):
     mono.write_text(json.dumps([[5, 0], [1, 0]]))
     code, _, err = run(capsys, ["decompose", "--d", "3", "--monomial", str(mono)])
     assert code == 1
+
+
+def test_decompose_rejects_boolean_entries(capsys, tmp_path):
+    mono = tmp_path / "mono.json"
+    mono.write_text(json.dumps([[True, False], [2, 0], [0, 0]]))
+    out_path = tmp_path / "factors.json"
+    code, _, err = run(
+        capsys,
+        ["decompose", "--d", "3", "--monomial", str(mono), "--out", str(out_path)],
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out_path.exists()
 
 
 # ------------------------------------------------------------- conjectures

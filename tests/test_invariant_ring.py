@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from invlayers import invariant_ring
+from invlayers import graphs, invariant_ring
 from invlayers.budgets import Budgets
 from invlayers.errors import BudgetError
 from invlayers.graphs import Graph, automorphism_group, enumerate_graphs
@@ -330,6 +330,16 @@ def test_check_conjectures_edgeless_matches_complete():
     full = check_conjectures(complete_graph(3))
     assert empty.beta_proxy == full.beta_proxy == 3
     assert empty.aut_order == full.aut_order == 6
+
+
+def test_check_conjectures_runs_one_canonical_search_per_graph():
+    search = graphs._optimal_orders
+    search.cache_clear()
+    star = graph(4, (0, 3), (1, 3), (2, 3))
+    path = graph(5, (0, 1), (1, 2), (2, 3), (3, 4))
+    for g in (star, path, star):
+        check_conjectures(g)
+    assert search.cache_info().misses == 3
 
 
 def test_vertex_transitive_verdicts_agree():

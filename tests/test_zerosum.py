@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from invlayers import zerosum
 from invlayers.budgets import Budgets
 from invlayers.zerosum import (
     DavenportResult,
@@ -63,6 +65,20 @@ def test_sequence_validation():
         seq(2, (0, 1)).subtract(seq(2, (1, 0)))
     with pytest.raises(ValueError):
         seq(2, (0, 1)).add(seq(3, (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "d, counts",
+    [
+        (True, ()),
+        (3, (((True, False), 1),)),
+        (3, (((0, True), 1),)),
+        (3, (((1, 0), True),)),
+    ],
+)
+def test_sequence_rejects_booleans(d, counts):
+    with pytest.raises(ValueError):
+        GroupSequence(d, counts)
 
 
 def test_sequence_arithmetic():
@@ -216,6 +232,36 @@ def test_verify_zero_sum_free():
     assert verify_zero_sum_free(seq(3))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_verify_zero_sum_free_agrees_with_exhaustive_oracle(d):
+    # lengths on both sides of the Davenport length 2d - 1; draws from a
+    # few elements so that short zero-sum-free sequences are common
+    rng = np.random.default_rng(100 + d)
+    seen = set()
+    for _ in range(150):
+        pool = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(3)]
+        length = int(rng.integers(0, 2 * d + 3))
+        elems = [pool[int(rng.integers(3))] for _ in range(length)]
+        s = GroupSequence.from_elements(d, elems)
+        free = verify_zero_sum_free(s)
+        assert free == (not oracle_has_zero_sum_subsequence(s))
+        seen.add((length < 2 * d - 1, free))
+    assert seen >= {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "d, length, first",
+    [
+        (1, 0, []),
+        (2, 2, [(0, 1), (1, 0)]),
+        (3, 4, [(0, 1), (0, 1), (1, 0), (1, 0)]),
+        (4, 6, [(0, 1), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0)]),
+    ],
+)
+def test_davenport_search_longest_and_first_sequence_frozen(d, length, first):
+    assert zerosum._max_zero_sum_free_length(d) == (length, seq(d, *first))
+
+
 # ------------------------------------------------------------- decomposition
 
 
@@ -247,6 +293,43 @@ def test_decompose_frozen_examples():
         (((0, 1), 3),),
         (((1, 0), 3),),
     }
+
+
+def _packed(d, text):
+    # "1011" is the sequence (1, 0), (1, 1): one digit per coordinate
+    return seq(d, *((int(text[i]), int(text[i + 1])) for i in range(0, len(text), 2)))
+
+
+@pytest.mark.parametrize(
+    "d, degree, factors",
+    [
+        (3, 12, ["101112", "02021220", "1220202021"]),
+        (4, 20, ["00", "020303", "10111112", "2020", "2020", "2222", "121321233132"]),
+        (
+            5,
+            30,
+            [
+                "00",
+                "031010101111",
+                "011111111313",
+                "132022",
+                "03142023",
+                "142224",
+                "23324041424344",
+            ],
+        ),
+    ],
+)
+def test_decompose_seeded_payloads_frozen(d, degree, factors):
+    # a seeded random payload closed to zero sum, as the benchmark draws
+    # them; the factors are the ones the subset-sum search has always found
+    rng = random.Random(d)
+    elems = [(rng.randrange(d), rng.randrange(d)) for _ in range(degree - 1)]
+    p = sum(a for a, _ in elems) % d
+    q = sum(b for _, b in elems) % d
+    elems.append(((-p) % d, (-q) % d))
+    s = GroupSequence.from_elements(d, elems)
+    assert decompose_invariant_monomial(s) == [_packed(d, f) for f in factors]
 
 
 def test_decompose_random_soundness():
