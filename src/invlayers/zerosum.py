@@ -14,14 +14,14 @@ monomial factors into invariant pieces of degree at most 2d - 1, and some
 invariant of degree exactly 2d - 1 is indecomposable.  Both halves are
 certified here by explicit search.
 
-One subset-sum dynamic program over the d*d possible sums answers every
-exhaustive zero-sum question, including a check of each sequence the
-Davenport search (a second, bitmask algorithm) produces.
+One subset-sum dynamic program answers every exhaustive zero-sum question
+and re-checks each sequence the Davenport search (a bitmask one) finds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from typing import Iterable, Mapping, Optional
 
@@ -127,31 +127,32 @@ def is_zero_sum(s: GroupSequence) -> bool:
     return s.sum_mod() == (0, 0)
 
 
-def _first_zero_sum(
-    d: int, elems: list[tuple[int, int]], budget: Budgets
-) -> Optional[GroupSequence]:
-    """First nonempty zero-sum sub-multiset of elems found by a dynamic
-    program over the d*d subset sums, each keeping one witness; or None."""
-    if d * d > budget.closure_cap:
-        raise BudgetError(
-            f"subset-sum search needs {d * d} states; budget is {budget.closure_cap}"
-        )
-    states: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for e in elems:
-        ea, eb = e
-        additions: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        candidates = [((ea % d, eb % d), (e,))]
-        for sum_key in sorted(states):
-            wa, wb = sum_key
-            candidates.append(
-                (((wa + ea) % d, (wb + eb) % d), states[sum_key] + (e,))
-            )
-        for sum_key, witness in candidates:
-            if sum_key == (0, 0):
+def _first_zero_sum(d: int, elems: list[tuple[int, int]]) -> Optional[GroupSequence]:
+    """First nonempty zero-sum sub-multiset of elems, or None.
+
+    Dynamic program over subset sums, (a, b) coded a*d + b: back[t] is the
+    sum t was first reached from (0 for a single element); the witness is
+    read off by walking back to 0.  Adding e, each new sum has one source,
+    so the sums' order is free, and after the first copy of e only the
+    sums new at the previous copy can reach more.
+    """
+    back: dict[int, int] = {}
+    for i, (ea, eb) in enumerate(elems):
+        if i == 0 or elems[i - 1] != (ea, eb):
+            frontier = [0, *back]
+        new = []
+        for s in frontier:
+            t = (s // d + ea) % d * d + (s % d + eb) % d
+            if t == 0:
+                witness = [(ea, eb)]
+                while s:
+                    witness.append(((s // d - back[s] // d) % d, (s - back[s]) % d))
+                    s = back[s]
                 return GroupSequence.from_elements(d, witness)
-            if sum_key not in states and sum_key not in additions:
-                additions[sum_key] = witness
-        states.update(additions)
+            if t not in back:
+                back[t] = s
+                new.append(t)
+        frontier = new
     return None
 
 
@@ -167,16 +168,27 @@ def find_zero_sum_subsequence(
     """
     if s.degree == 0:
         return None
-    return _first_zero_sum(s.d, s.elements()[: 2 * s.d - 1], budget)
+    if s.d * s.d > budget.closure_cap:
+        raise BudgetError(
+            f"subset-sum search needs {s.d * s.d} states; budget is {budget.closure_cap}"
+        )
+    return _first_zero_sum(s.d, s.elements()[: 2 * s.d - 1])
 
 
 def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:
     """Exhaustively confirm that no nonempty sub-multiset of s is zero-sum.
 
-    Runs the subset-sum dynamic program on every element, so the cost
-    grows with the degree times the d*d possible sums.
+    Runs the subset-sum dynamic program on every element; it keeps at most
+    one sum per sub-multiset, so the budget bounds the product of
+    (multiplicity + 1) over distinct elements.
     """
-    return _first_zero_sum(s.d, s.elements(), budget) is None
+    combos = math.prod(m + 1 for _, m in s.counts)
+    if combos > budget.tuple_enumeration:
+        raise BudgetError(
+            f"zero-sum-free check needs {combos} sub-multisets; "
+            f"budget is {budget.tuple_enumeration}"
+        )
+    return _first_zero_sum(s.d, s.elements()) is None
 
 
 def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
@@ -184,17 +196,15 @@ def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
     Z_d x Z_d; returns the length and the first such sequence found.
 
     Depth-first over multisets of nonzero elements in nondecreasing order,
-    carrying the set of achievable nonempty subset sums as a bitmask, bit
-    a*d + b for the sum (a, b); a branch dies as soon as (0, 0) becomes
-    achievable.  The length of any zero-sum-free sequence is bounded by
-    d*d - 1 (its prefix sums are distinct and nonzero), so the search
-    terminates without an imposed cap.
+    carrying the achievable nonempty subset sums as a bitmask (bit a*d + b
+    for the sum (a, b)); a branch dies as soon as (0, 0) becomes
+    achievable.  A zero-sum-free sequence has at most d*d - 1 elements (its
+    prefix sums are distinct and nonzero), so the search needs no cap.
     """
     nonzero = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
     size = d * d
     full = (1 << size) - 1
-    # wrap[b] holds columns 0..b-1 of every row: after a shift by b
-    # columns, they take the bits that wrapped around the row's end
+    # wrap[b] masks columns 0..b-1 of every row, where a b-column shift wraps
     wrap = [sum(((1 << b) - 1) << (r * d) for r in range(d)) for b in range(d)]
     best_len = 0
     best_seq: list[tuple[int, int]] = []
@@ -206,9 +216,8 @@ def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
             best_seq = list(chosen)
         for i in range(start, len(nonzero)):
             a, b = nonzero[i]
-            # the sums reachable with the new element are the old ones
-            # translated by (a, b): rotate the whole mask by a rows, then
-            # every row by b columns
+            # sums with the new element are the old ones moved by (a, b):
+            # rotate the whole mask by a rows, then every row by b columns
             moved = ((mask << a * d) | (mask >> size - a * d)) & full
             moved = ((moved << b) & (full ^ wrap[b])) | ((moved >> d - b) & wrap[b])
             new_mask = mask | moved | (1 << a * d + b)
@@ -310,9 +319,9 @@ class GeneratorDegreeCertificate:
     degree exactly 2d - 1.
 
     The upper bound comes from the Davenport computation (every longer
-    invariant monomial factors); the lower bound is the explicit
-    indecomposable invariant of degree 2d - 1, re-verified here by scanning
-    all of its proper nonempty sub-multisets.
+    invariant monomial factors); the lower bound is the explicit invariant
+    of degree 2d - 1, the Davenport witness plus the element that closes
+    its sum, indecomposable because the witness is verified zero-sum free.
     """
 
     d: int
@@ -329,17 +338,15 @@ def max_generator_degree_translation(
     packaged with both halves of the certificate."""
     dav = davenport_constant(d, budget)
     p, q = dav.witness.sum_mod()
-    closing = GroupSequence.from_elements(d, [((-p) % d, (-q) % d)])
-    indecomposable = dav.witness.add(closing)
+    closing = ((-p) % d, (-q) % d)
+    indecomposable = dav.witness.add(GroupSequence.from_elements(d, [closing]))
     if not is_zero_sum(indecomposable):
         raise AssertionError("closing element did not produce a zero-sum sequence")
     degree = indecomposable.degree
     # a proper nonempty zero-sum part leaves a zero-sum complement, and one
     # of the two misses the closing element: so the invariant is
-    # indecomposable exactly when it is zero-sum free without that element
-    verified = verify_zero_sum_free(indecomposable.subtract(closing), budget)
-    if not verified:
-        raise AssertionError("degree-(2d-1) invariant unexpectedly decomposed")
+    # indecomposable exactly when it is zero-sum free without that element,
+    # that is when dav.witness is, which davenport_constant has verified
     if degree != 2 * d - 1:
         raise AssertionError(f"witness degree {degree} != {2 * d - 1}")
     return GeneratorDegreeCertificate(
@@ -347,7 +354,7 @@ def max_generator_degree_translation(
         degree=degree,
         davenport=dav,
         indecomposable=indecomposable,
-        indecomposable_verified=verified,
+        indecomposable_verified=True,
     )
 
 

@@ -430,6 +430,12 @@ def test_davenport_witness_only_beyond_exhaustive_budget(capsys, tmp_path):
     assert json.loads(out_path.read_text())["certified"] is False
 
 
+def test_davenport_witness_only_at_large_d(capsys):
+    code, out, _ = run(capsys, ["davenport", "--d", "317"])
+    assert code == 0
+    assert out.splitlines()[0] == "D=633, zero-sum-free witness length 632"
+
+
 def test_davenport_invalid_d_exits_one(capsys):
     code, _, err = run(capsys, ["davenport", "--d", "0"])
     assert code == 1

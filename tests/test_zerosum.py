@@ -6,6 +6,7 @@ import pytest
 
 from invlayers import zerosum
 from invlayers.budgets import Budgets
+from invlayers.errors import BudgetError
 from invlayers.zerosum import (
     DavenportResult,
     GeneratorDegreeCertificate,
@@ -212,6 +213,22 @@ def test_davenport_beyond_budget_gives_witness_only():
         assert verify_zero_sum_free(res.witness)
 
 
+def test_davenport_witness_check_reaches_large_d():
+    # the witness check is bounded by its sub-multisets (d*d here), not by
+    # closure_cap on the d*d sums, so d = 317 is still answered
+    res = davenport_constant(317)
+    assert (res.constant, res.certified) == (633, False)
+    cert = max_generator_degree_translation(317)
+    assert cert.degree == 633 and cert.indecomposable_verified
+
+
+def test_verify_zero_sum_free_budget_counts_sub_multisets():
+    s = GroupSequence.from_alpha(5, {(1, 0): 4, (0, 1): 4})  # 25 sub-multisets
+    with pytest.raises(BudgetError):
+        verify_zero_sum_free(s, Budgets(tuple_enumeration=24))
+    assert verify_zero_sum_free(s, Budgets(tuple_enumeration=25))
+
+
 def test_davenport_d1():
     res = davenport_constant(1)
     assert res.constant == 1
@@ -245,6 +262,8 @@ def test_verify_zero_sum_free_agrees_with_exhaustive_oracle(d):
         s = GroupSequence.from_elements(d, elems)
         free = verify_zero_sum_free(s)
         assert free == (not oracle_has_zero_sum_subsequence(s))
+        # the dynamic program on the elements in draw order, copies apart
+        assert (zerosum._first_zero_sum(d, elems) is None) == free
         seen.add((length < 2 * d - 1, free))
     assert seen >= {(True, True), (False, False)}
 
