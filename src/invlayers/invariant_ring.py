@@ -24,8 +24,15 @@ the key a nondecreasing tuple of generator indices, in lex order of keys
 (the order of the rows handed to the elimination, which sets its fill-in):
 the degree-d table puts generator i in front of the tail, found by
 bisection, of the degree d - deg(g_i) table whose keys start at i or later.
-A product's row is read through one map from orbit lead to column: a
-product of invariants is invariant, so its predicted lead is an orbit lead.
+A product of invariants is invariant, so its predicted lead is an orbit
+lead, found through one map from lead to column, and its coefficients are
+constant on orbits.  A product is therefore held in orbit-sum coordinates,
+one coefficient per orbit of its degree (Thiery, SIGSAM Bull. 34(3), 2000;
+Goebel, JSC 19, 1995), and never expanded monomial by monomial: the product
+of g and a degree-d' invariant has, on the orbit with lead L, the sum over
+the members b of g of the invariant's coefficient on the orbit of L - b.
+One shift table per (g, d'), built when a row first needs it, lists those
+orbits.
 
 Ranks are certified three ways, cheapest first.  Products of orbit sums
 have lead coefficient exactly 1 and lead monomial equal to the sum of the
@@ -252,7 +259,8 @@ class GeneratorDegreeResult:
 class _Generator:
     degree: int
     lead: int
-    poly: dict[int, int]
+    orbit: int  # its column among the orbits of its degree
+    members: tuple[int, ...]  # the packed monomials of that orbit
 
 
 def _mod_row(row: dict[int, int], p: int) -> dict[int, int]:
@@ -337,24 +345,57 @@ class _RingScan:
         self.gens: list[_Generator] = []
         # tables[d]: every generator product of degree d, one factor or more
         self.tables: list[list[tuple[tuple[int, ...], int]]] = [[]]
+        # orbits[d]: (orbit id per degree-d monomial, lead per orbit)
+        self.orbits = [_orbit_partition(spec, 0, self.width)]
+        self._where: dict[int, dict[int, int]] = {}
+        self._shifts: dict[tuple[int, int], list[list[int]]] = {}
         self._products: dict[tuple[int, ...], dict[int, int]] = {}
 
     # ---- generator products
 
-    def _poly(self, key: tuple[int, ...]) -> dict[int, int]:
+    def _shift(self, i: int, d: int) -> list[list[int]]:
+        """Multiplication by generator i, from degree d to d + deg g_i, in
+        orbit coordinates: entry o lists each column c once per member b
+        of g_i with L_c - b in orbit o, L_c being the lead of c.
+
+        L_c - b is looked up among the packed degree-d monomials.  If the
+        subtraction borrows in any field, the result is negative or its
+        fields sum to d + k(2^w - 1) with k >= 1 borrows, so it is no
+        degree-d monomial and the lookup misses it, as it should."""
+        table = self._shifts.get((i, d))
+        if table is None:
+            where = self._where.get(d)
+            if where is None:
+                monos = _monomials(self.n, d, self.width)
+                where = self._where[d] = dict(zip(monos, self.orbits[d][0].tolist()))
+            gen = self.gens[i]
+            table = [[] for _ in self.orbits[d][1]]
+            for c, lead in enumerate(self.orbits[d + gen.degree][1]):
+                for b in gen.members:
+                    o = where.get(lead - b)
+                    if o is not None:
+                        table[o].append(c)
+            self._shifts[i, d] = table
+        return table
+
+    def _row(self, key: tuple[int, ...], d: int) -> dict[int, int]:
+        """The degree-d product of the generators in key, as {column:
+        coefficient} over the orbits of degree d.  A product of invariants
+        is invariant, so its coefficient on an orbit is its coefficient on
+        the orbit's lead: the sum, over members b of the first factor, of
+        the rest's coefficient on the orbit of L - b."""
+        gen = self.gens[key[0]]
         if len(key) == 1:
-            return self.gens[key[0]].poly
-        cached = self._products.get(key)
-        if cached is None:
-            a = self._poly(key[:-1])
-            b = self.gens[key[-1]].poly
-            cached = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    cached[e] = cached.get(e, 0) + c1 * c2
-            self._products[key] = cached
-        return cached
+            return {gen.orbit: 1}
+        row = self._products.get(key)
+        if row is None:
+            row = {}
+            shift = self._shift(key[0], d - gen.degree)
+            for o, v in self._row(key[1:], d - gen.degree).items():
+                for c in shift[o]:
+                    row[c] = row.get(c, 0) + v
+            self._products[key] = row
+        return row
 
     def _multisets(self, d: int) -> list[tuple[tuple[int, ...], int]]:
         """The degree-d table before any degree-d generator joins it: every
@@ -374,16 +415,17 @@ class _RingScan:
 
     # ---- per-degree processing
 
-    def _lead_rows(self, keys, col):
+    def _lead_rows(self, keys, d):
         """Each product's coefficients on the orbit leads, keyed by column,
         built only when the elimination asks for the next row."""
         for key in keys:
-            yield {col[e]: c for e, c in self._poly(key).items() if e in col}
+            yield self._row(key, d)
 
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
         ids, leads = _orbit_partition(self.spec, d, self.width)
+        self.orbits.append((ids, leads))
         dim = len(leads)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
@@ -408,10 +450,10 @@ class _RingScan:
             # hence full-rank: no new generators, no arithmetic needed
             return dim, 0
         ordered_keys = [first_by_col[c] for c in sorted(first_by_col)] + extras
-        rows = functools.partial(self._lead_rows, ordered_keys, col)
+        rows = functools.partial(self._lead_rows, ordered_keys, d)
         new_cols = self._rank_deficit(rows, dim)
         if new_cols:
-            self._install_generators(d, new_cols, ids, leads)
+            self._install_generators(d, new_cols)
             self._verify_new_generators(rows(), dim, new_cols)
         return dim, len(new_cols)
 
@@ -426,13 +468,14 @@ class _RingScan:
         pivots = _eliminate(rows(), dim, None)
         return [c for c in range(dim) if c not in pivots]
 
-    def _install_generators(self, d, new_cols, ids, leads) -> None:
+    def _install_generators(self, d, new_cols) -> None:
+        ids, leads = self.orbits[d]
         monos = _monomials(self.n, d, self.width)
         for c in new_cols:
-            poly = {monos[j]: 1 for j in np.flatnonzero(ids == c).tolist()}
+            members = tuple(monos[j] for j in np.flatnonzero(ids == c).tolist())
             # the largest index so far: the table stays in lex order
             self.tables[d].append(((len(self.gens),), leads[c]))
-            self.gens.append(_Generator(degree=d, lead=leads[c], poly=poly))
+            self.gens.append(_Generator(degree=d, lead=leads[c], orbit=c, members=members))
 
     def _verify_new_generators(self, rows, dim, new_cols) -> None:
         """Independent exact check: appending the new orbit sums to the

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from typing import Iterable, Mapping, Optional
 
 from .budgets import DEFAULT, Budgets
@@ -127,32 +128,41 @@ def is_zero_sum(s: GroupSequence) -> bool:
     return s.sum_mod() == (0, 0)
 
 
-def _first_zero_sum(d: int, elems: list[tuple[int, int]]) -> Optional[GroupSequence]:
+def _first_zero_sum(
+    d: int, elems: list[tuple[int, int]], flat: bool = True
+) -> Optional[GroupSequence]:
     """First nonempty zero-sum sub-multiset of elems, or None.
 
     Dynamic program over subset sums, (a, b) coded a*d + b: back[t] is the
-    sum t was first reached from (0 for a single element); the witness is
-    read off by walking back to 0.  Adding e, each new sum has one source,
-    so the sums' order is free, and after the first copy of e only the
-    sums new at the previous copy can reach more.
+    sum t was first reached from (0 for a single element, -1 while t is
+    unreached), and ``reached`` lists the sums in the order they were
+    reached; the witness is read off by walking back to 0.  Adding e, each
+    new sum has one source, so the sums' order is free, and after the first
+    copy of e only the sums new at the previous copy can reach more.
+
+    back is one flat array of d*d entries, or, when ``flat`` is false (far
+    fewer sums reachable than d*d), a dict holding only the reached sums.
     """
-    back: dict[int, int] = {}
-    for i, (ea, eb) in enumerate(elems):
-        if i == 0 or elems[i - 1] != (ea, eb):
-            frontier = [0, *back]
-        new = []
+    back = array("q", [-1]) * (d * d) if flat else defaultdict(lambda: -1)
+    reached: list[int] = []
+    mark = 0
+    prev = None
+    for e in elems:
+        ea, eb = e
+        size = len(reached)
+        frontier = [0, *reached] if e != prev else reached[mark:size]
+        mark, prev = size, e
         for s in frontier:
             t = (s // d + ea) % d * d + (s % d + eb) % d
             if t == 0:
-                witness = [(ea, eb)]
+                witness = [e]
                 while s:
                     witness.append(((s // d - back[s] // d) % d, (s - back[s]) % d))
                     s = back[s]
                 return GroupSequence.from_elements(d, witness)
-            if t not in back:
+            if back[t] < 0:
                 back[t] = s
-                new.append(t)
-        frontier = new
+                reached.append(t)
     return None
 
 
@@ -188,7 +198,7 @@ def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:
             f"zero-sum-free check needs {combos} sub-multisets; "
             f"budget is {budget.tuple_enumeration}"
         )
-    return _first_zero_sum(s.d, s.elements()) is None
+    return _first_zero_sum(s.d, s.elements(), flat=s.d * s.d <= combos) is None
 
 
 def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlayers import graphs, invariant_ring
 from invlayers.budgets import Budgets
@@ -28,6 +29,7 @@ from invlayers.permgroup import (
     TypedNodeSet,
     cyclic_generators,
     group_closure,
+    reduce_generators,
     vertex_orbits,
     young_generators,
 )
@@ -260,6 +262,89 @@ def test_generator_product_budget_stops_the_scan():
 def test_generator_result_dims_match_molien():
     res = generator_degrees(STAR_GROUP, 6)
     assert res.dims == tuple(molien_hilbert_coeffs(STAR_GROUP, 6)[1:])
+
+
+def _check_products_against_expansion(spec, cap):
+    """Every table key's orbit-coordinate product equals the product of the
+    generators' orbit sums, expanded monomial by monomial over exponent
+    tuples and read at the orbit leads of its degree."""
+    scan = invariant_ring._RingScan(spec, cap, Budgets(), "modular", None)
+    scan.run()
+    n, width = spec.n, scan.width
+    elements = group_closure(spec)
+
+    def exponents(packed):
+        return tuple((packed >> width * (n - 1 - i)) & ((1 << width) - 1) for i in range(n))
+
+    def orbit_sum(e):
+        moved = [0] * n
+        members = set()
+        for g in elements:
+            for i, x in enumerate(e):
+                moved[g.image[i]] = x
+            members.add(tuple(moved))
+        return members
+
+    sums = [orbit_sum(exponents(gen.lead)) for gen in scan.gens]
+    for gen, members in zip(scan.gens, sums):
+        assert {exponents(b) for b in gen.members} == members
+    expanded = {(): {(0,) * n: 1}}
+
+    def expand(key):
+        if key not in expanded:
+            out = {}
+            for e1, c1 in expand(key[:-1]).items():
+                for e2 in sums[key[-1]]:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1
+            expanded[key] = out
+        return expanded[key]
+
+    assert len(scan.tables) == cap + 1
+    for d in range(1, cap + 1):
+        leads = [exponents(lead) for lead in scan.orbits[d][1]]
+        for key, _ in scan.tables[d]:
+            product = expand(key)
+            expected = {c: product[lead] for c, lead in enumerate(leads) if lead in product}
+            assert scan._row(key, d) == expected, (key, d)
+
+
+# caps 7 and 8 fill the exponent fields (3 and 4 bits), so many L - b borrow
+@pytest.mark.parametrize("cap", [7, 8])
+@pytest.mark.parametrize(
+    "spec", [young_generators(TypedNodeSet((2,))), cyclic_generators(4)], ids=["S2", "C4"]
+)
+def test_orbit_coordinate_products_match_expansion(spec, cap):
+    _check_products_against_expansion(spec, cap)
+
+
+@given(small_generator_sets(), st.sampled_from([7, 8]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_coordinate_products_match_expansion_random_groups(spec, cap):
+    _check_products_against_expansion(spec, cap)
+
+
+def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
+    # an order-16 automorphism group with orbits (4, 2): products are
+    # eliminated, not read off as triangular, at every degree up to 12
+    for g in enumerate_graphs(6):
+        aut = automorphism_group(g)
+        if len(aut.generators) == 16 and sorted(map(len, vertex_orbits(aut))) == [2, 4]:
+            break
+    spec = PermGroupSpec(6, tuple(reduce_generators(aut.generators)))
+    eliminated = []
+    lead_rows = invariant_ring._RingScan._lead_rows
+
+    def record(self, keys, d):
+        eliminated.append(d)
+        return lead_rows(self, keys, d)
+
+    monkeypatch.setattr(invariant_ring._RingScan, "_lead_rows", record)
+    exact = generator_degrees(spec, 12, arithmetic="exact")
+    assert set(eliminated) == set(range(1, 13))
+    modular = generator_degrees(spec, 12, arithmetic="modular")
+    assert dataclasses.replace(modular, arithmetic="exact") == exact
+    assert exact.new_by_degree == ((1, 2), (2, 3), (3, 1), (4, 1))
 
 
 # ----------------------------------------------------------------- verdicts

@@ -268,6 +268,23 @@ def test_verify_zero_sum_free_agrees_with_exhaustive_oracle(d):
     assert seen >= {(True, True), (False, False)}
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_first_zero_sum_flat_and_sparse_back_pointers_agree(d):
+    rng = np.random.default_rng(200 + d)
+    for _ in range(100):
+        length = int(rng.integers(0, 2 * d + 2))
+        elems = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(length)]
+        flat = zerosum._first_zero_sum(d, elems)
+        assert zerosum._first_zero_sum(d, elems, flat=False) == flat
+
+
+def test_verify_zero_sum_free_holds_only_reachable_sums_for_a_huge_modulus():
+    # d*d = 10**12 sums, of which three elements reach at most seven
+    d = 10**6
+    assert verify_zero_sum_free(seq(d, (1, 0), (0, 1), (1, 1)))
+    assert not verify_zero_sum_free(seq(d, (1, 2), (5, 5), (d - 1, d - 2)))
+
+
 @pytest.mark.parametrize(
     "d, length, first",
     [
