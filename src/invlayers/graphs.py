@@ -184,10 +184,14 @@ def write_graph6(g: Graph) -> str:
 def read_graph6_file(path) -> list[Graph]:
     graphs = []
     with open(os.fspath(path), encoding="ascii") as fp:
-        for line in fp:
+        for number, line in enumerate(fp, 1):
             line = line.strip()
             if line:
-                graphs.append(parse_graph6(line))
+                try:
+                    graphs.append(parse_graph6(line))
+                except Graph6ParseError as exc:
+                    exc.args = (f"line {number}: {exc}",)
+                    raise
     return graphs
 
 

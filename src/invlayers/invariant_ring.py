@@ -19,30 +19,31 @@ generator acts on them as a column permutation, and the orbits come from
 ``permgroup._orbit_labels``, the min-label propagation kernel that also
 computes vertex and tuple orbits.
 
-Generator products are kept in one table per degree of (key, lead) pairs,
-the key a nondecreasing tuple of generator indices, in lex order of keys
-(the order of the rows handed to the elimination, which sets its fill-in):
-the degree-d table puts generator i in front of the tail, found by
-bisection, of the degree d - deg(g_i) table whose keys start at i or later.
-A product of invariants is invariant, so its predicted lead is an orbit
-lead, found through one map from lead to column, and its coefficients are
-constant on orbits.  A product is therefore held in orbit-sum coordinates,
-one coefficient per orbit of its degree (Thiery, SIGSAM Bull. 34(3), 2000;
-Goebel, JSC 19, 1995), and never expanded monomial by monomial: the product
-of g and a degree-d' invariant has, on the orbit with lead L, the sum over
-the members b of g of the invariant's coefficient on the orbit of L - b.
-One shift table per (g, d'), built when a row first needs it, lists those
-orbits.
+Once the scan has passed degree d', the generators found so far generate
+every invariant of degree at most d'.  The span of the degree-d generator
+products is therefore the sum, over the generators g, of g times the
+invariants of degree d - deg(g): it is spanned by the rows g * orbitsum(o),
+o an orbit of degree d - deg(g), and no product of three or more factors is
+ever built.  A product of invariants is invariant, so a row is held in
+orbit-sum coordinates, one coefficient per orbit of degree d (Thiery,
+SIGSAM Bull. 34(3), 2000; Goebel, JSC 19, 1995): on the orbit with lead L
+it counts the members b of g and m of o with b + m = L, each sum looked up
+among the leads.  Lex order is a monomial order, so the row's lead is
+L_g + L_o with coefficient 1: leads multiply, as in the subalgebra bases of
+Robbiano and Sweedler (LNM 1430, 1990).
 
-Ranks are certified three ways, cheapest first.  Products of orbit sums
-have lead coefficient exactly 1 and lead monomial equal to the sum of the
-factors' lead monomials, so when every orbit is the predicted lead of some
-product the products are triangular and full-rank with no arithmetic at
-all.  Otherwise a sparse elimination runs, either in exact integer
-arithmetic (fraction-free with content stripping) or modulo one large
-prime.  Rank mod p never exceeds rank over the rationals, so full rank mod
-p proves full rank; every degree that appears to contain a new generator
-is recomputed exactly before being reported.
+Ranks are certified three ways, cheapest first.  The cover picks, for each
+orbit c of degree d, the first generator g with L_c - L_g the lead of an
+orbit o of degree d - deg(g); when every orbit is covered, those rows are
+triangular with unit lead coefficients, hence full-rank, with no arithmetic
+at all.  Otherwise a sparse elimination runs over the rows left over, the
+cover's rows standing as known pivots, built only when a reduction reaches
+them, and the rows with a coefficient on an uncovered orbit going first.  It
+runs either in exact integer arithmetic (fraction-free with content
+stripping) or modulo one large prime.  Rank mod p never exceeds rank over
+the rationals, so full rank mod p proves full rank; every degree that
+appears to contain a new generator is recomputed exactly before being
+reported.
 
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
@@ -52,7 +53,6 @@ conjectured bounds: the vertex count, and the largest automorphism orbit.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import functools
@@ -61,7 +61,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -259,17 +259,17 @@ class GeneratorDegreeResult:
 class _Generator:
     degree: int
     lead: int
-    orbit: int  # its column among the orbits of its degree
-    members: tuple[int, ...]  # the packed monomials of that orbit
+    members: tuple[int, ...]  # the packed monomials of its orbit
 
 
-def _mod_row(row: dict[int, int], p: int) -> dict[int, int]:
-    out = {}
-    for c, v in row.items():
-        v %= p
-        if v:
-            out[c] = v
-    return out
+def _product_count(degrees: Sequence[int], d: int) -> int:
+    """The number of multisets of generators of the given degrees whose
+    degrees sum to d, by one pass over the sums 0..d per generator."""
+    ways = [1] + [0] * d
+    for k in degrees:
+        for s in range(k, d + 1):
+            ways[s] += ways[s - k]
+    return ways[d]
 
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
@@ -286,40 +286,47 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
 
 
 def _eliminate(
-    rows: Iterable[dict[int, int]], dim: int, prime: Optional[int]
-) -> dict[int, dict[int, int]]:
-    """Sparse Gaussian elimination; returns the pivot rows keyed by lead
-    column.  Exact fraction-free integer arithmetic when prime is None,
-    otherwise arithmetic mod the prime.  Stops as soon as the rank reaches
-    dim (later rows, built lazily, are never built)."""
-    pivots: dict[int, dict[int, int]] = {}
+    rows: Iterable[dict[int, int]],
+    dim: int,
+    prime: Optional[int],
+    cover: Optional[dict[int, tuple]] = None,
+    build: Optional[Callable[..., dict[int, int]]] = None,
+) -> set[int]:
+    """Sparse Gaussian elimination; returns the pivot columns, which depend
+    on the rows' span alone, not on their order.  ``cover`` maps columns to
+    known pivots, rows with lead coefficient 1 there, built as
+    ``build(*key)`` when a reduction first reaches them.  Exact
+    fraction-free integer arithmetic when prime is None, otherwise
+    arithmetic mod the prime, on entries in [0, prime).  Stops as soon as
+    the rank reaches dim (later rows, built lazily, are never built)."""
+    pivots: dict = dict(cover or {})
     for row in rows:
-        row = _mod_row(row, prime) if prime else _strip_content(row)
+        row = row if prime else _strip_content(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = row
                 break
+            if isinstance(piv, tuple):
+                piv = pivots[lead] = build(*piv)
             pc, rc = piv[lead], row[lead]
             if prime:
-                factor = rc * pow(pc, -1, prime) % prime
-                new = {}
-                for c in row.keys() | piv.keys():
-                    v = (row.get(c, 0) - factor * piv.get(c, 0)) % prime
-                    if v:
-                        new[c] = v
-                row = new
-            else:
-                new = {}
-                for c in row.keys() | piv.keys():
-                    v = pc * row.get(c, 0) - rc * piv.get(c, 0)
-                    if v:
-                        new[c] = v
-                row = _strip_content(new) if new else new
+                pc, rc = 1, rc * pow(pc, -1, prime) % prime
+            new = {c: pc * v for c, v in row.items()}
+            for c, v in piv.items():
+                # v and rc are nonzero, so a zero here cancels an entry of new
+                w = new.get(c, 0) - rc * v
+                if prime:
+                    w %= prime
+                if w:
+                    new[c] = w
+                else:
+                    del new[c]
+            row = _strip_content(new) if new and not prime else new
         if len(pivots) == dim:
             break
-    return pivots
+    return set(pivots)
 
 
 class _RingScan:
@@ -343,145 +350,133 @@ class _RingScan:
             _molien_from_elements(elements, cap) if elements is not None else None
         )
         self.gens: list[_Generator] = []
-        # tables[d]: every generator product of degree d, one factor or more
-        self.tables: list[list[tuple[tuple[int, ...], int]]] = [[]]
         # orbits[d]: (orbit id per degree-d monomial, lead per orbit)
         self.orbits = [_orbit_partition(spec, 0, self.width)]
+        # cols[d]: the column of each orbit lead of degree d
+        self.cols = [{0: 0}]
         self._where: dict[int, dict[int, int]] = {}
-        self._shifts: dict[tuple[int, int], list[list[int]]] = {}
-        self._products: dict[tuple[int, ...], dict[int, int]] = {}
+        self._orbit_members: dict[int, list[list[int]]] = {}
 
-    # ---- generator products
+    # ---- generator x orbit-sum rows
 
-    def _shift(self, i: int, d: int) -> list[list[int]]:
-        """Multiplication by generator i, from degree d to d + deg g_i, in
-        orbit coordinates: entry o lists each column c once per member b
-        of g_i with L_c - b in orbit o, L_c being the lead of c.
+    def _orbit_of(self, d: int) -> dict[int, int]:
+        """The orbit of each packed degree-d monomial, built when first needed."""
+        where = self._where.get(d)
+        if where is None:
+            monos = _monomials(self.n, d, self.width)
+            where = self._where[d] = dict(zip(monos, self.orbits[d][0].tolist()))
+        return where
 
-        L_c - b is looked up among the packed degree-d monomials.  If the
-        subtraction borrows in any field, the result is negative or its
-        fields sum to d + k(2^w - 1) with k >= 1 borrows, so it is no
-        degree-d monomial and the lookup misses it, as it should."""
-        table = self._shifts.get((i, d))
-        if table is None:
-            where = self._where.get(d)
-            if where is None:
-                monos = _monomials(self.n, d, self.width)
-                where = self._where[d] = dict(zip(monos, self.orbits[d][0].tolist()))
-            gen = self.gens[i]
-            table = [[] for _ in self.orbits[d][1]]
-            for c, lead in enumerate(self.orbits[d + gen.degree][1]):
-                for b in gen.members:
-                    o = where.get(lead - b)
-                    if o is not None:
-                        table[o].append(c)
-            self._shifts[i, d] = table
-        return table
+    def _members(self, d: int) -> list[list[int]]:
+        """The packed monomials of each orbit of degree d, built when first needed."""
+        members = self._orbit_members.get(d)
+        if members is None:
+            members = self._orbit_members[d] = [[] for _ in self.cols[d]]
+            for o, m in zip(self.orbits[d][0].tolist(), _monomials(self.n, d, self.width)):
+                members[o].append(m)
+        return members
 
-    def _row(self, key: tuple[int, ...], d: int) -> dict[int, int]:
-        """The degree-d product of the generators in key, as {column:
-        coefficient} over the orbits of degree d.  A product of invariants
-        is invariant, so its coefficient on an orbit is its coefficient on
-        the orbit's lead: the sum, over members b of the first factor, of
-        the rest's coefficient on the orbit of L - b."""
-        gen = self.gens[key[0]]
-        if len(key) == 1:
-            return {gen.orbit: 1}
-        row = self._products.get(key)
-        if row is None:
-            row = {}
-            shift = self._shift(key[0], d - gen.degree)
-            for o, v in self._row(key[1:], d - gen.degree).items():
-                for c in shift[o]:
-                    row[c] = row.get(c, 0) + v
-            self._products[key] = row
+    def _row(self, i: int, o: int, d: int) -> dict[int, int]:
+        """g_i times the orbit sum of orbit o at degree d - deg g_i, as
+        {column: coefficient} over the orbits of degree d.  The product is
+        invariant, so its coefficient on an orbit is its coefficient on the
+        orbit's lead: the number of members b of g_i and m of o with b + m
+        that lead."""
+        gen = self.gens[i]
+        col = self.cols[d]
+        row: dict[int, int] = {}
+        for m in self._members(d - gen.degree)[o]:
+            for b in gen.members:
+                c = col.get(b + m)
+                if c is not None:
+                    row[c] = row.get(c, 0) + 1
         return row
 
-    def _multisets(self, d: int) -> list[tuple[tuple[int, ...], int]]:
-        """The degree-d table before any degree-d generator joins it: every
-        product of two or more generators, as (nondecreasing index tuple,
-        predicted lead) pairs in lex order of the tuples."""
-        limit = self.budget.tuple_enumeration
-        table: list[tuple[tuple[int, ...], int]] = []
-        for i, gen in enumerate(self.gens):
-            if gen.degree >= d:
-                break  # generators are stored in nondecreasing degree
-            below = self.tables[d - gen.degree]
-            tail = itertools.islice(below, bisect.bisect_left(below, ((i,),)), None)
-            table.extend(((i,) + key, gen.lead + lead) for key, lead in tail)
-            if len(table) > limit:
-                raise BudgetError(f"more than {limit} generator products at degree {d}")
-        return table
+    def _extra_rows(self, d: int, cover: dict[int, tuple[int, int, int]]):
+        """The degree-d rows (i, o) outside the cover, built when the
+        elimination asks for the next one: first those with a coefficient on
+        an uncovered column m, the orbit o of L_m - b for each member b of
+        g_i; then every other pair, so that a degree with new generators
+        sees the whole product span."""
+        leads = self.orbits[d][1]
+        gens = [
+            (i, gen.members, self._orbit_of(d - gen.degree), len(self.cols[d - gen.degree]))
+            for i, gen in enumerate(self.gens)
+        ]
+        touching = (
+            (i, where.get(leads[m] - b))
+            for m in range(len(leads))
+            if m not in cover
+            for i, members, where, _ in gens
+            for b in members
+        )
+        every = ((i, o) for i, _, _, count in gens for o in range(count))
+        seen = set(cover.values())
+        for i, o in itertools.chain(touching, every):
+            if o is not None and (i, o, d) not in seen:
+                seen.add((i, o, d))
+                yield self._row(i, o, d)
 
     # ---- per-degree processing
-
-    def _lead_rows(self, keys, d):
-        """Each product's coefficients on the orbit leads, keyed by column,
-        built only when the elimination asks for the next row."""
-        for key in keys:
-            yield self._row(key, d)
 
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
         ids, leads = _orbit_partition(self.spec, d, self.width)
         self.orbits.append((ids, leads))
+        self.cols.append({lead: c for c, lead in enumerate(leads)})
         dim = len(leads)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
-        table = self._multisets(d)
-        self.tables.append(table)
-        # a product of invariants is invariant, so its lead is an orbit lead
-        col = {lead: c for c, lead in enumerate(leads)}
-        first_by_col: dict[int, tuple[int, ...]] = {}
-        extras: list[tuple[int, ...]] = []
-        for key, lead in table:
-            c = col[lead]
-            if c in first_by_col:
-                extras.append(key)
-            else:
-                first_by_col[c] = key
-        if len(first_by_col) == dim:
-            # every orbit is the predicted lead of some product; those
-            # representatives are triangular with unit lead coefficients,
+        limit = self.budget.tuple_enumeration
+        if _product_count([gen.degree for gen in self.gens], d) > limit:
+            raise BudgetError(f"more than {limit} generator products at degree {d}")
+        # The row (i, o) has lead L_{g_i} + L_o.  If L_c - L_{g_i} borrows in
+        # any field, it is negative or its fields sum to d - deg g_i plus
+        # 2^w - 1 per borrow, so it is no monomial of that degree and misses
+        # the lookup, as it should; so does a borrowed L_m - b in _extra_rows.
+        cover: dict[int, tuple[int, int, int]] = {}
+        uncovered = list(range(dim))
+        for i, gen in enumerate(self.gens):
+            col = self.cols[d - gen.degree]
+            found = [(c, col.get(leads[c] - gen.lead)) for c in uncovered]
+            cover.update((c, (i, o, d)) for c, o in found if o is not None)
+            uncovered = [c for c, o in found if o is None]
+        if len(cover) == dim:
+            # the cover's rows are triangular with unit lead coefficients,
             # hence full-rank: no new generators, no arithmetic needed
             return dim, 0
-        ordered_keys = [first_by_col[c] for c in sorted(first_by_col)] + extras
-        rows = functools.partial(self._lead_rows, ordered_keys, d)
-        new_cols = self._rank_deficit(rows, dim)
+        rows = functools.partial(self._extra_rows, d, cover)
+        new_cols = self._rank_deficit(rows, dim, cover)
         if new_cols:
+            self._verify_new_generators(rows(), dim, new_cols, cover)
             self._install_generators(d, new_cols)
-            self._verify_new_generators(rows(), dim, new_cols)
         return dim, len(new_cols)
 
-    def _rank_deficit(self, rows, dim) -> list[int]:
+    def _rank_deficit(self, rows, dim, cover) -> list[int]:
         """Columns not reached by the product span, under the configured
         arithmetic.  Full rank mod the prime proves full rank over the
         rationals; a modular result short of full rank, which suggests new
         generators, is recomputed exactly."""
         if self.arithmetic == "modular":
-            if len(_eliminate(rows(), dim, _PRIME)) == dim:
+            if len(_eliminate(rows(), dim, _PRIME, cover, self._row)) == dim:
                 return []
-        pivots = _eliminate(rows(), dim, None)
+        pivots = _eliminate(rows(), dim, None, cover, self._row)
         return [c for c in range(dim) if c not in pivots]
 
     def _install_generators(self, d, new_cols) -> None:
-        ids, leads = self.orbits[d]
-        monos = _monomials(self.n, d, self.width)
+        leads, members = self.orbits[d][1], self._members(d)
         for c in new_cols:
-            members = tuple(monos[j] for j in np.flatnonzero(ids == c).tolist())
-            # the largest index so far: the table stays in lex order
-            self.tables[d].append(((len(self.gens),), leads[c]))
-            self.gens.append(_Generator(degree=d, lead=leads[c], orbit=c, members=members))
+            self.gens.append(_Generator(degree=d, lead=leads[c], members=tuple(members[c])))
 
-    def _verify_new_generators(self, rows, dim, new_cols) -> None:
+    def _verify_new_generators(self, rows, dim, new_cols, cover) -> None:
         """Independent exact check: appending the new orbit sums to the
         product span must raise the rank by exactly their number."""
         units = ({c: 1} for c in new_cols)
-        pivots = _eliminate(itertools.chain(rows, units), dim, None)
+        pivots = _eliminate(itertools.chain(rows, units), dim, None, cover, self._row)
         if len(pivots) != dim:
             raise AssertionError(
                 f"product span plus {len(new_cols)} new generators has rank "

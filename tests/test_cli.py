@@ -559,6 +559,15 @@ def test_conjectures_reads_graph6_file(capsys, tmp_path):
     assert {r["graph6"] for r in rows} == {"Bw", "A_"}
 
 
+def test_conjectures_names_the_line_of_a_bad_graph6_entry(capsys, tmp_path):
+    g6 = tmp_path / "graphs.g6"
+    g6.write_text("Bw\nzz!\n")
+    code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2: byte 3: need 286 data bytes for n=59, found 2\n"
+
+
 def test_conjectures_cap_full_matches_default_for_small_n(capsys):
     _, out_default, _ = run(capsys, ["conjectures", "--nmax", "3"])
     _, out_full, _ = run(capsys, ["conjectures", "--nmax", "3", "--cap", "full"])

@@ -141,6 +141,14 @@ def test_graph6_file_round_trip(tmp_path):
     assert [g.n for g in loaded] == [2, 1]
 
 
+def test_graph6_file_errors_name_their_line(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("Bw\n\nzz!\n")
+    with pytest.raises(Graph6ParseError, match=r"^line 3: byte 3: ") as info:
+        read_graph6_file(path)
+    assert info.value.offset == 3
+
+
 # ---------------------------------------------------------------- canonical
 
 

@@ -1,7 +1,10 @@
+import collections
 import csv
 import dataclasses
+import functools
 import itertools
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from invlayers.invariant_ring import (
 )
 from invlayers.permgroup import (
     PermGroupSpec,
+    Permutation,
     TypedNodeSet,
     cyclic_generators,
     group_closure,
@@ -264,18 +268,34 @@ def test_generator_result_dims_match_molien():
     assert res.dims == tuple(molien_hilbert_coeffs(STAR_GROUP, 6)[1:])
 
 
+def test_product_count_matches_brute_count():
+    for degrees in [(), (1,), (1, 1, 2), (1, 2, 2, 3, 3, 3), (2, 3, 5), (4, 4)]:
+        for d in range(10):
+            brute = sum(
+                1
+                for k in range(d + 1)
+                for combo in itertools.combinations_with_replacement(range(len(degrees)), k)
+                if sum(degrees[i] for i in combo) == d
+            )
+            assert invariant_ring._product_count(degrees, d) == brute, (degrees, d)
+
+
 def _check_products_against_expansion(spec, cap):
-    """Every table key's orbit-coordinate product equals the product of the
-    generators' orbit sums, expanded monomial by monomial over exponent
-    tuples and read at the orbit leads of its degree."""
+    """Every buildable row g_i * orbitsum(o) equals that product, expanded
+    monomial by monomial over exponent tuples and read at the orbit leads
+    of its degree; its lead is L_{g_i} + L_o, with coefficient 1.  The
+    packed differences L_c - b looked up by the cover and the extra rows
+    find the orbit of the exponent-wise difference, or nothing where it has
+    a negative exponent."""
     scan = invariant_ring._RingScan(spec, cap, Budgets(), "modular", None)
-    scan.run()
+    result = scan.run()
     n, width = spec.n, scan.width
     elements = group_closure(spec)
 
     def exponents(packed):
         return tuple((packed >> width * (n - 1 - i)) & ((1 << width) - 1) for i in range(n))
 
+    @functools.lru_cache(maxsize=None)
     def orbit_sum(e):
         moved = [0] * n
         members = set()
@@ -283,30 +303,37 @@ def _check_products_against_expansion(spec, cap):
             for i, x in enumerate(e):
                 moved[g.image[i]] = x
             members.add(tuple(moved))
-        return members
+        return frozenset(members)
 
-    sums = [orbit_sum(exponents(gen.lead)) for gen in scan.gens]
-    for gen, members in zip(scan.gens, sums):
-        assert {exponents(b) for b in gen.members} == members
-    expanded = {(): {(0,) * n: 1}}
-
-    def expand(key):
-        if key not in expanded:
-            out = {}
-            for e1, c1 in expand(key[:-1]).items():
-                for e2 in sums[key[-1]]:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0) + c1
-            expanded[key] = out
-        return expanded[key]
-
-    assert len(scan.tables) == cap + 1
-    for d in range(1, cap + 1):
-        leads = [exponents(lead) for lead in scan.orbits[d][1]]
-        for key, _ in scan.tables[d]:
-            product = expand(key)
-            expected = {c: product[lead] for c, lead in enumerate(leads) if lead in product}
-            assert scan._row(key, d) == expected, (key, d)
+    for gen in scan.gens:
+        assert {exponents(b) for b in gen.members} == orbit_sum(exponents(gen.lead))
+    for d in range(1, result.verified_up_to + 1):
+        packed_leads = scan.orbits[d][1]
+        leads = [exponents(lead) for lead in packed_leads]
+        for i, gen in enumerate(scan.gens):
+            if gen.degree >= d:
+                continue
+            k = d - gen.degree
+            lower = [orbit_sum(exponents(lead)) for lead in scan.orbits[k][1]]
+            orbit_of = {m: o for o, members in enumerate(lower) for m in members}
+            lead_orbit = {max(members): o for o, members in enumerate(lower)}
+            for o, members in enumerate(lower):
+                product = collections.Counter(
+                    tuple(x + y for x, y in zip(b, m))
+                    for b in orbit_sum(exponents(gen.lead))
+                    for m in members
+                )
+                expected = {c: product[e] for c, e in enumerate(leads) if e in product}
+                row = scan._row(i, o, d)
+                assert row == expected, (i, o, d)
+                top = tuple(x + y for x, y in zip(exponents(gen.lead), max(members)))
+                assert leads[min(row)] == top and row[min(row)] == 1
+            for lead, e in zip(packed_leads, leads):
+                for b in gen.members:
+                    diff = tuple(x - y for x, y in zip(e, exponents(b)))
+                    assert scan._orbit_of(k).get(lead - b) == orbit_of.get(diff)
+                diff = tuple(x - y for x, y in zip(e, exponents(gen.lead)))
+                assert scan.cols[k].get(lead - gen.lead) == lead_orbit.get(diff)
 
 
 # caps 7 and 8 fill the exponent fields (3 and 4 bits), so many L - b borrow
@@ -325,23 +352,27 @@ def test_orbit_coordinate_products_match_expansion_random_groups(spec, cap):
 
 
 def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
-    # an order-16 automorphism group with orbits (4, 2): products are
-    # eliminated, not read off as triangular, at every degree up to 12
+    # an order-16 automorphism group with orbits (4, 2), where the leads of
+    # the generator x orbit-sum rows leave columns uncovered at many degrees
     for g in enumerate_graphs(6):
         aut = automorphism_group(g)
         if len(aut.generators) == 16 and sorted(map(len, vertex_orbits(aut))) == [2, 4]:
             break
     spec = PermGroupSpec(6, tuple(reduce_generators(aut.generators)))
-    eliminated = []
-    lead_rows = invariant_ring._RingScan._lead_rows
+    dims = []
+    eliminate = invariant_ring._eliminate
 
-    def record(self, keys, d):
-        eliminated.append(d)
-        return lead_rows(self, keys, d)
+    def record(rows, dim, *args):
+        dims.append(dim)
+        return eliminate(rows, dim, *args)
 
-    monkeypatch.setattr(invariant_ring._RingScan, "_lead_rows", record)
+    monkeypatch.setattr(invariant_ring, "_eliminate", record)
     exact = generator_degrees(spec, 12, arithmetic="exact")
-    assert set(eliminated) == set(range(1, 13))
+    # the invariant dimension grows at every degree, so it names the degree
+    assert list(exact.dims) == sorted(set(exact.dims))
+    eliminated = {exact.dims.index(dim) + 1 for dim in dims}
+    new = {d for d, _ in exact.new_by_degree}
+    assert new < eliminated  # and some full-rank degree needed elimination
     modular = generator_degrees(spec, 12, arithmetic="modular")
     assert dataclasses.replace(modular, arithmetic="exact") == exact
     assert exact.new_by_degree == ((1, 2), (2, 3), (3, 1), (4, 1))
@@ -569,6 +600,37 @@ def test_sweep_accepts_explicit_graphs():
     gs = [complete_graph(3), graph(3)]
     result = sweep(3, graphs=gs)
     assert len(result.reports) == 2
+
+
+# Answers frozen from the scan over products of generator multisets, which
+# the generator x orbit-sum rows replaced: the seeded random groups (n <= 6,
+# cap 2n, full groups listed, so every dimension is checked against Molien)
+# and the CSV of `conjectures --nmax 6 --cap 2n --arith modular`.
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_generator_degrees_frozen_on_seeded_random_groups():
+    cases = json.loads((DATA / "generator_degrees_random_groups.json").read_text())
+    for case in cases:
+        spec = PermGroupSpec(case["n"], tuple(Permutation(g) for g in case["generators"]))
+        elements = group_closure(spec)
+        for arithmetic in ("exact", "modular"):
+            res = generator_degrees(
+                spec, case["cap"], arithmetic=arithmetic, elements=elements
+            )
+            assert {
+                "new_by_degree": [list(p) for p in res.new_by_degree],
+                "dims": list(res.dims),
+                "verified_up_to": res.verified_up_to,
+                "max_generator_degree": res.max_generator_degree,
+            } == case[arithmetic], (case["generators"], arithmetic)
+
+
+@pytest.mark.slow
+def test_six_vertex_modular_sweep_csv_frozen():
+    result = sweep(6, "2n", arithmetic="modular")
+    expected = (DATA / "conjectures_n6_cap2n_modular.csv").read_text(encoding="utf-8")
+    assert invariant_ring.reports_csv_text(result.reports) == expected
 
 
 def test_selftest_runs():
