@@ -1,7 +1,7 @@
 """Default size caps for enumerative computations.
 
-Every cap can be overridden per call; the module-level defaults may also
-be adjusted through environment variables (``INVLAYERS_<FIELD>`` with the
+Every cap can be overridden per call.  The command-line interface also
+reads overrides from environment variables (``INVLAYERS_<FIELD>`` with the
 field name upper-cased, e.g. ``INVLAYERS_TUPLE_ENUMERATION``).
 """
 
@@ -28,12 +28,16 @@ class Budgets:
 
     @classmethod
     def from_env(cls) -> "Budgets":
+        """The defaults, overridden by the environment; ValueError on a bad value."""
         overrides = {}
         for f in fields(cls):
-            raw = os.environ.get("INVLAYERS_" + f.name.upper())
+            name = "INVLAYERS_" + f.name.upper()
+            raw = os.environ.get(name)
             if raw is not None:
+                if not raw.strip().isdecimal():
+                    raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
                 overrides[f.name] = int(raw)
         return cls(**overrides)
 
 
-DEFAULT = Budgets.from_env()
+DEFAULT = Budgets()

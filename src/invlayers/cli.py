@@ -130,8 +130,9 @@ def _cmd_dims(args, budget: Budgets) -> int:
 
 
 def _cmd_basis(args, budget: Budgets) -> int:
+    from .combinat import enumerate_colored_partitions
     from .permgroup import TypedNodeSet
-    from .tensor_basis import build_full_basis
+    from .tensor_basis import build_basis_element
 
     k = _require(args, "--k")
     sizes = _require(args, "--sizes")
@@ -140,7 +141,13 @@ def _cmd_basis(args, budget: Budgets) -> int:
     if len(sizes) > budget.type_cap:
         raise BudgetError(f"--sizes lists {len(sizes)} types, cap is {budget.type_cap}")
     t = TypedNodeSet(sizes)
-    elements = build_full_basis(k, t, budget.tuple_enumeration)
+    # build_full_basis, composed here so that every cap comes from budget
+    if t.n**k > budget.tuple_enumeration:
+        raise BudgetError(f"{t.n}**{k} index tuples exceed budget {budget.tuple_enumeration}")
+    elements = [
+        build_basis_element(desc, t, budget.tuple_enumeration)
+        for desc in enumerate_colored_partitions(k, t.m, budget.axis_cap, budget.type_cap)
+    ]
     records = []
     for el in elements:
         records.append(

@@ -3,9 +3,9 @@
 Each subcommand is exercised through ``main(argv)`` so stdout/stderr and
 exit codes can be asserted in-process.  One subprocess test covers the
 installed ``invlayers`` entry point; the others run ``python -m invlayers``
-from the source tree under test, one of them with a budget set through an
-``INVLAYERS_<FIELD>`` environment variable.  Expected numbers reuse the
-independently frozen values from the library test files.
+from the source tree under test, some with a budget set through an
+``INVLAYERS_<FIELD>`` environment variable, well-formed or not.  Expected
+numbers reuse the independently frozen values from the library test files.
 """
 
 import csv
@@ -194,6 +194,14 @@ def test_basis_budget_exit_two(capsys):
     code, _, err = run(capsys, ["basis", "--k", "8", "--sizes", "8,8,8"])
     assert code == 2
     assert "budget" in err
+
+
+def test_basis_takes_its_type_cap_from_the_environment(capsys, monkeypatch):
+    # nine one-node types: one cap above the default type cap of 8
+    monkeypatch.setenv("INVLAYERS_TYPE_CAP", "9")
+    code, out, _ = run(capsys, ["basis", "--k", "1", "--sizes", ",".join(["1"] * 9)])
+    assert code == 0
+    assert json.loads(out)["count"] == 9
 
 
 # ------------------------------------------------------------- layer-apply
@@ -683,14 +691,18 @@ def test_no_arguments_prints_usage_and_exits_one(capsys):
     assert "usage" in err.lower()
 
 
-def test_budget_override_via_environment(tmp_path):
+def _child_env():
     # The environment is built from scratch so that no other INVLAYERS_*
     # variable leaks in; PYTHONPATH points the child at the same invlayers
     # tree this process imported, installed or not.
-    base = {
+    return {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": str(Path(invlayers.__file__).resolve().parents[1]),
     }
+
+
+def test_budget_override_via_environment(tmp_path):
+    base = _child_env()
 
     def davenport_report(env, name):
         out = tmp_path / name
@@ -712,3 +724,20 @@ def test_budget_override_via_environment(tmp_path):
     data = davenport_report(env, "r.json")
     assert data["certified"] is False  # exhaustive certification gated off by env
     assert data["config"]["budget"]["davenport_exhaustive_max_d"] == 2
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("INVLAYERS_TUPLE_ENUMERATION", "abc"), ("INVLAYERS_MONOMIALS_PER_DEGREE", "-1")],
+)
+def test_malformed_budget_in_environment_is_one_error_line(name, value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlayers", "conjectures", "--nmax", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**_child_env(), name: value},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {name} must be a non-negative integer, got {value!r}\n"

@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import fractions
 import functools
 import itertools
 import json
@@ -359,23 +360,102 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
         if len(aut.generators) == 16 and sorted(map(len, vertex_orbits(aut))) == [2, 4]:
             break
     spec = PermGroupSpec(6, tuple(reduce_generators(aut.generators)))
-    dims = []
+    calls = []
     eliminate = invariant_ring._eliminate
 
-    def record(rows, dim, *args):
-        dims.append(dim)
-        return eliminate(rows, dim, *args)
+    def record(rows, dim, prime, *args):
+        calls.append((dim, prime is None))
+        return eliminate(rows, dim, prime, *args)
 
     monkeypatch.setattr(invariant_ring, "_eliminate", record)
     exact = generator_degrees(spec, 12, arithmetic="exact")
     # the invariant dimension grows at every degree, so it names the degree
     assert list(exact.dims) == sorted(set(exact.dims))
-    eliminated = {exact.dims.index(dim) + 1 for dim in dims}
+    assert all(is_exact for _, is_exact in calls)
+    # at most one elimination of each kind per degree
+    assert len(set(calls)) == len(calls)
+    eliminated = {exact.dims.index(dim) + 1 for dim, _ in calls}
     new = {d for d, _ in exact.new_by_degree}
     assert new < eliminated  # and some full-rank degree needed elimination
+    calls.clear()
     modular = generator_degrees(spec, 12, arithmetic="modular")
+    assert len(set(calls)) == len(calls)
+    # every new generator was found by an exact pass
+    assert new <= {exact.dims.index(dim) + 1 for dim, is_exact in calls if is_exact}
     assert dataclasses.replace(modular, arithmetic="exact") == exact
     assert exact.new_by_degree == ((1, 2), (2, 3), (3, 1), (4, 1))
+
+
+def _sparse(values):
+    return {c: v for c, v in enumerate(values) if v}
+
+
+def _rational_rank(vectors):
+    """Rank over the rationals, by Gauss-Jordan elimination on Fractions."""
+    rows = [[fractions.Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def elimination_cases(draw):
+    """Up to 6 nonzero rows on up to 8 columns, and a cover of unit-lead
+    rows on a proper subset of the columns (a full cover needs no
+    elimination).  The entries are below 4 in size, so by Hadamard's bound
+    every minor is below 2**31 - 1 and the ranks mod the prime equal the
+    rational ones."""
+    prime = draw(st.sampled_from([None, invariant_ring._PRIME]))
+    ncols = draw(st.integers(1, 8))
+    entries = st.integers(-3 if prime is None else 0, 3)
+    row = st.lists(entries, min_size=ncols, max_size=ncols).filter(any)
+    rows = draw(st.lists(row, max_size=6))
+    cover = {}
+    for c in sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1))):
+        tail = draw(st.lists(entries, min_size=ncols - c - 1, max_size=ncols - c - 1))
+        cover[c] = [0] * c + [1] + tail
+    return prime, ncols, rows, cover
+
+
+@given(elimination_cases())
+@settings(max_examples=300, deadline=None)
+def test_eliminate_pivots_are_the_rational_echelon_leads(case):
+    prime, ncols, rows, cover = case
+    pulled, built = [], []
+
+    def supply():
+        for values in rows:
+            pulled.append(values)
+            yield _sparse(values)
+
+    def build(c):
+        built.append(c)
+        return _sparse(cover[c])
+
+    pivots = invariant_ring._eliminate(
+        supply(), ncols, prime, {c: (c,) for c in cover}, build
+    )
+    # column c leads an echelon basis exactly when it raises the rank of the
+    # columns before it
+    covering = list(cover.values())
+    ranks = [_rational_rank([v[:c] for v in covering + rows]) for c in range(ncols + 1)]
+    assert pivots == {c for c in range(ncols) if ranks[c + 1] > ranks[c]}
+    assert len(built) == len(set(built)) and set(built) <= set(cover)
+    # no row is pulled once the rank reaches the column count
+    full = next(
+        (k for k in range(len(rows)) if _rational_rank(covering + rows[:k]) == ncols),
+        len(rows),
+    )
+    assert len(pulled) == full
 
 
 # ----------------------------------------------------------------- verdicts
