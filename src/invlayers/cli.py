@@ -59,16 +59,16 @@ def _require(args, flag: str):
     return value
 
 
-def _config(args, keys: Sequence[str], budget: Budgets) -> dict:
-    cfg = {"subcommand": args.cmd}
+def _report(path: Optional[str], args, budget: Budgets, keys: Sequence[str], **fields) -> None:
+    """Write a JSON report to path, or to stdout when path is None: the tool
+    version, the resolved config (subcommand, the named arguments, the
+    budget) and the result fields."""
+    config = {"subcommand": args.cmd}
     for key in keys:
         value = getattr(args, key)
-        cfg[key] = list(value) if isinstance(value, tuple) else value
-    cfg["budget"] = dataclasses.asdict(budget)
-    return cfg
-
-
-def _emit_json(payload: dict, path: Optional[str]) -> None:
+        config[key] = list(value) if isinstance(value, tuple) else value
+    config["budget"] = dataclasses.asdict(budget)
+    payload = {"version": __version__, "config": config, **fields}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -93,6 +93,9 @@ def _cmd_dims(args, budget: Budgets) -> int:
 
     m = _require(args, "--m")
     k = _require(args, "--k")
+    for flag, value in (("--k", k), ("--d", args.d)):
+        if value < 0:
+            raise _UsageError(f"{flag} must be nonnegative, got {value}")
     order = k + args.d
     if order > budget.axis_cap:
         raise BudgetError(f"tensor order k+d={order} exceeds the axis cap {budget.axis_cap}")
@@ -115,14 +118,10 @@ def _cmd_dims(args, budget: Budgets) -> int:
     else:
         print(value)
     if args.out:
-        payload = {
-            "version": __version__,
-            "config": _config(args, ["m", "k", "d", "sizes", "oracle"], budget),
-            "total_order": order,
-            "formula": value,
-            "oracle": oracle,
-        }
-        _emit_json(payload, args.out)
+        _report(
+            args.out, args, budget, ["m", "k", "d", "sizes", "oracle"],
+            total_order=order, formula=value, oracle=oracle,
+        )
     return 0
 
 
@@ -130,9 +129,8 @@ def _cmd_dims(args, budget: Budgets) -> int:
 
 
 def _cmd_basis(args, budget: Budgets) -> int:
-    from .combinat import enumerate_colored_partitions
     from .permgroup import TypedNodeSet
-    from .tensor_basis import build_basis_element
+    from .tensor_basis import build_full_basis
 
     k = _require(args, "--k")
     sizes = _require(args, "--sizes")
@@ -141,34 +139,18 @@ def _cmd_basis(args, budget: Budgets) -> int:
     if len(sizes) > budget.type_cap:
         raise BudgetError(f"--sizes lists {len(sizes)} types, cap is {budget.type_cap}")
     t = TypedNodeSet(sizes)
-    # build_full_basis, composed here so that every cap comes from budget
-    if t.n**k > budget.tuple_enumeration:
-        raise BudgetError(f"{t.n}**{k} index tuples exceed budget {budget.tuple_enumeration}")
-    elements = [
-        build_basis_element(desc, t, budget.tuple_enumeration)
-        for desc in enumerate_colored_partitions(k, t.m, budget.axis_cap, budget.type_cap)
+    records = [
+        {
+            "axis_types": list(el.descriptor.axis_types),
+            "blocks_by_type": [list(g.rgs()) for g in el.descriptor.gammas],
+            "support": [[i + 1 for i in tup] for tup in sorted(el.tensor.support)],
+        }
+        for el in build_full_basis(k, t, budget.tuple_enumeration)
     ]
-    records = []
-    for el in elements:
-        records.append(
-            {
-                "axis_types": list(el.descriptor.axis_types),
-                "blocks_by_type": [list(g.rgs()) for g in el.descriptor.gammas],
-                "support": [
-                    [i + 1 for i in tup] for tup in sorted(el.tensor.support)
-                ],
-            }
-        )
-    payload = {
-        "version": __version__,
-        "config": _config(args, ["k", "sizes"], budget),
-        "n": t.n,
-        "k": k,
-        "type_sizes": list(t.type_sizes),
-        "count": len(records),
-        "elements": records,
-    }
-    _emit_json(payload, args.out)
+    _report(
+        args.out, args, budget, ["k", "sizes"],
+        n=t.n, k=k, type_sizes=list(t.type_sizes), count=len(records), elements=records,
+    )
     if args.out:
         print(f"wrote {len(records)} basis records to {args.out}")
     return 0
@@ -225,12 +207,7 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
         data = data["x"]
     x = _float_array(data, "--input")
     y = equivariant_forward(layer, x)
-    payload = {
-        "version": __version__,
-        "config": _config(args, ["weights", "input"], budget),
-        "y": [float(v) for v in y],
-    }
-    _emit_json(payload, args.out)
+    _report(args.out, args, budget, ["weights", "input"], y=[float(v) for v in y])
     if args.out:
         print(f"wrote output vector of length {len(y)} to {args.out}")
     return 0
@@ -263,13 +240,7 @@ def _cmd_cyclic_dims(args, budget: Budgets) -> int:
     else:
         print(value)
     if args.out:
-        payload = {
-            "version": __version__,
-            "config": _config(args, ["n", "d", "k", "oracle"], budget),
-            "formula": value,
-            "oracle": oracle,
-        }
-        _emit_json(payload, args.out)
+        _report(args.out, args, budget, ["n", "d", "k", "oracle"], formula=value, oracle=oracle)
     return 0
 
 
@@ -293,12 +264,9 @@ def _cmd_dft(args, budget: Budgets) -> int:
             )
             return 1
         if args.out:
-            payload = {
-                "version": __version__,
-                "config": _config(args, ["d", "images", "seed", "tol"], budget),
-                "max_deviation": deviation,
-            }
-            _emit_json(payload, args.out)
+            _report(
+                args.out, args, budget, ["d", "images", "seed", "tol"], max_deviation=deviation
+            )
         return 0
     if args.infile is None:
         raise _UsageError("dft needs either --check-diag or --in FILE")
@@ -338,15 +306,13 @@ def _cmd_davenport(args, budget: Budgets) -> int:
         f"{budget.davenport_exhaustive_max_d})"
     )
     if args.out:
-        payload = {
-            "version": __version__,
-            "config": _config(args, ["d"], budget),
-            "constant": result.constant,
-            "certified": result.certified,
-            "max_zero_sum_free_length": result.max_zero_sum_free_length,
-            "witness": [list(pair) for pair in result.witness.elements()],
-        }
-        _emit_json(payload, args.out)
+        _report(
+            args.out, args, budget, ["d"],
+            constant=result.constant,
+            certified=result.certified,
+            max_zero_sum_free_length=result.max_zero_sum_free_length,
+            witness=[list(pair) for pair in result.witness.elements()],
+        )
     return 0
 
 
@@ -374,15 +340,13 @@ def _cmd_decompose(args, budget: Budgets) -> int:
         f"{len(factors)} zero-sum factors, max degree {max_degree} "
         f"(bound {2 * d - 1})"
     )
-    payload = {
-        "version": __version__,
-        "config": _config(args, ["d", "monomial"], budget),
-        "degree": seq.degree,
-        "degree_bound": 2 * d - 1,
-        "factors": [[list(pair) for pair in f.elements()] for f in factors],
-    }
     if args.out:
-        _emit_json(payload, args.out)
+        _report(
+            args.out, args, budget, ["d", "monomial"],
+            degree=seq.degree,
+            degree_bound=2 * d - 1,
+            factors=[[list(pair) for pair in f.elements()] for f in factors],
+        )
     return 0
 
 
@@ -452,13 +416,11 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
         for line in summary_lines:
             print(line, file=sys.stderr)
     if args.json_out:
-        payload = {
-            "version": __version__,
-            "config": _config(args, ["nmax", "cap", "arith", "jobs", "infile"], budget),
-            "summary": result.summary,
-            "reports": [report_to_json_dict(r) for r in result.reports],
-        }
-        _emit_json(payload, args.json_out)
+        _report(
+            args.json_out, args, budget, ["nmax", "cap", "arith", "jobs", "infile"],
+            summary=result.summary,
+            reports=[report_to_json_dict(r) for r in result.reports],
+        )
     return sweep_exit_code(result.reports)
 
 

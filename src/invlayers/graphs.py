@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _MAX_ENUM_N = 8
-_KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+_KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @dataclasses.dataclass(frozen=True)

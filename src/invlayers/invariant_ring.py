@@ -154,24 +154,24 @@ def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
         )
 
 
-def _orbit_partition(spec: PermGroupSpec, d: int, width: int):
-    """Partition the packed degree-d monomials into group orbits.
+def _orbit_partition(spec: PermGroupSpec, d: int):
+    """Partition the degree-d monomials into group orbits.
 
-    Returns (orbit id per monomial, an int array in ``_monomials`` order;
-    lead monomial per orbit).  Each generator permutes the columns of the
-    exponent rows.  The row set is closed under the group, so sorting the
-    permuted rows into descending lex order (a reversed ``lexsort``) names,
-    for each row, the row mapped onto it; ``argsort`` inverts that into
-    each row's image.  An orbit's smallest row index is its lex-max member,
-    so orbit ids are sorted by descending lead.
+    Returns (orbit id per monomial, an int array in ``_exponent_rows``
+    order; the row index of each orbit's lead, ascending).  Each generator
+    permutes the columns of the exponent rows.  The row set is closed under
+    the group, so sorting the permuted rows into descending lex order (a
+    reversed ``lexsort``) names, for each row, the row mapped onto it;
+    ``argsort`` inverts that into each row's image.  An orbit's smallest
+    row index is its lex-max member, so orbit ids are sorted by descending
+    lead.
     """
     rows = _exponent_rows(spec.n, d)
     # lexsort needs at least one key; on no variables every generator is the identity
     gens = spec.generators if spec.n else ()
     images = [np.argsort(np.lexsort(rows[:, g.image[::-1]].T)[::-1]) for g in gens]
     firsts, ids = np.unique(_orbit_labels(len(rows), images), return_inverse=True)
-    monos = _monomials(spec.n, d, width)
-    return ids, [monos[i] for i in firsts.tolist()]
+    return ids, firsts
 
 
 def invariant_dim_by_degree(
@@ -182,7 +182,7 @@ def invariant_dim_by_degree(
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     _check_monomial_budget(spec.n, degree, budget)
-    return len(_orbit_partition(spec, degree, _width(degree))[1])
+    return len(_orbit_partition(spec, degree)[1])
 
 
 def monomial_orbit_sums(
@@ -194,8 +194,8 @@ def monomial_orbit_sums(
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     _check_monomial_budget(spec.n, degree, budget)
-    ids, leads = _orbit_partition(spec, degree, _width(degree))
-    members: list[list[tuple[int, ...]]] = [[] for _ in leads]
+    ids, firsts = _orbit_partition(spec, degree)
+    members: list[list[tuple[int, ...]]] = [[] for _ in firsts]
     # scanning in descending order sorts each member list, lead first
     for oid, row in zip(ids.tolist(), _exponent_rows(spec.n, degree).tolist()):
         members[oid].append(tuple(row))
@@ -354,13 +354,19 @@ class _RingScan:
         )
         self.gens: list[_Generator] = []
         # orbits[d]: (orbit id per degree-d monomial, lead per orbit)
-        self.orbits = [_orbit_partition(spec, 0, self.width)]
+        self.orbits = [self._orbits(0)]
         # cols[d]: the column of each orbit lead of degree d
         self.cols = [{0: 0}]
         self._where: dict[int, dict[int, int]] = {}
         self._orbit_members: dict[int, list[list[int]]] = {}
 
     # ---- generator x orbit-sum rows
+
+    def _orbits(self, d: int) -> tuple[np.ndarray, list[int]]:
+        """The orbit id of each degree-d monomial and the packed lead of each orbit."""
+        ids, firsts = _orbit_partition(self.spec, d)
+        monos = _monomials(self.n, d, self.width)
+        return ids, [monos[i] for i in firsts.tolist()]
 
     def _orbit_of(self, d: int) -> dict[int, int]:
         """The orbit of each packed degree-d monomial, built when first needed."""
@@ -425,7 +431,7 @@ class _RingScan:
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
-        ids, leads = _orbit_partition(self.spec, d, self.width)
+        ids, leads = self._orbits(d)
         self.orbits.append((ids, leads))
         self.cols.append({lead: c for c, lead in enumerate(leads)})
         dim = len(leads)
@@ -500,8 +506,9 @@ def generator_degrees(
     up to the cap.
 
     ``arithmetic`` selects "exact" integer elimination or the "modular"
-    one-prime fast path (which always re-verifies candidate generators
-    exactly).  When ``elements`` lists the full group, every invariant
+    one-prime fast path (a degree that falls short of full rank mod p is
+    eliminated again exactly, and only that exact pass names new
+    generators).  When ``elements`` lists the full group, every invariant
     dimension is cross-checked against the cycle-index series.  A budget
     overrun at degree d stops the scan with ``verified_up_to == d - 1``.
     """
@@ -682,6 +689,8 @@ def sweep(
     """Run the conjecture check over every isomorphism class with up to
     n_max vertices (or over an explicit graph list), deterministically
     ordered by (n, canonical graph6 string)."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     if graphs is None:
         if n_max < 1:
             raise ValueError(f"need n_max >= 1, got {n_max}")

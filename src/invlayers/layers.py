@@ -68,10 +68,10 @@ class InvariantPool:
 def invariant_forward(p: InvariantPool, x: np.ndarray) -> float | np.ndarray:
     """Apply the pool; a (n, c) input is pooled per channel to shape (c,)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != p.types.n:
-        raise ValueError(f"expected {p.types.n} rows, got {x.shape}")
     if x.ndim not in (1, 2):
         raise ValueError("input must be a vector or a (n, channels) stack")
+    if x.shape[0] != p.types.n:
+        raise ValueError(f"expected {p.types.n} rows, got {x.shape}")
     sums = _block_sums(p.types, x)
     out = np.tensordot(p.w, sums, axes=(0, 0))
     return float(out) if x.ndim == 1 else out

@@ -23,7 +23,7 @@ from typing import Callable, IO, Iterable, Sequence
 import numpy as np
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
-from .combinat import ColoredPartition, SetPartition, enumerate_colored_partitions
+from .combinat import ColoredPartition, SetPartition, enumerate_colored_partitions, gen_bell
 from .errors import BasisFileError, BudgetError
 from .permgroup import PermGroupSpec, Permutation, TypedNodeSet
 
@@ -108,14 +108,19 @@ def build_full_basis(
 
     The nonempty supports partition the full set of ``n**k`` index
     tuples; the number of descriptors is the colored-partition count
-    ``gen_bell(t.m, k)`` regardless of block sizes.
+    ``gen_bell(t.m, k)`` regardless of block sizes.  Both counts must fit
+    the one budget, which then bounds the work, so no axis or type cap
+    applies.
     """
     budget = DEFAULT_BUDGETS.tuple_enumeration if budget is None else budget
     if t.n**k > budget:
         raise BudgetError(f"{t.n}**{k} index tuples exceed budget {budget}")
+    count = gen_bell(t.m, k)
+    if count > budget:
+        raise BudgetError(f"gen_bell({t.m}, {k}) = {count} descriptors exceed budget {budget}")
     return [
         build_basis_element(desc, t, budget)
-        for desc in enumerate_colored_partitions(k, t.m)
+        for desc in enumerate_colored_partitions(k, t.m, axis_cap=k, type_cap=t.m)
     ]
 
 
@@ -323,7 +328,6 @@ def load_basis(fp: IO[str] | str) -> list[BasisElement]:
 
 def selftest() -> None:
     """Fast internal consistency checks (used by the CLI --selftest flag)."""
-    from .combinat import gen_bell
     from .permgroup import young_generators
 
     for sizes in [(2, 1), (2, 2), (3,)]:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import invlayers
+from invlayers.budgets import Budgets
 from invlayers.cli import main
 from invlayers.zerosum import GroupSequence, is_zero_sum
 
@@ -118,6 +119,21 @@ def test_dims_invalid_m_exits_one(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--m", "2", "--k", "2", "--d", "-1"],
+        ["dims", "--m", "2", "--k", "-1", "--d", "2"],
+        ["dims", "--m", "2", "--k", "3", "--d", "-2", "--sizes", "2,2", "--oracle"],
+    ],
+)
+def test_dims_negative_order_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --") and "must be nonnegative" in err
+
+
 def test_dims_order_beyond_cap_exits_two(capsys):
     code, _, err = run(capsys, ["dims", "--m", "2", "--k", "99"])
     assert code == 2
@@ -194,6 +210,15 @@ def test_basis_budget_exit_two(capsys):
     code, _, err = run(capsys, ["basis", "--k", "8", "--sizes", "8,8,8"])
     assert code == 2
     assert "budget" in err
+
+
+def test_basis_descriptor_count_is_budgeted(capsys):
+    # 5**8 index tuples fit the budget, gen_bell(5, 8) descriptors do not
+    code, out, err = run(capsys, ["basis", "--k", "8", "--sizes", "1,1,1,1,1"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: budget exceeded:")
+    assert "11202680 descriptors" in err
 
 
 def test_basis_takes_its_type_cap_from_the_environment(capsys, monkeypatch):
@@ -595,6 +620,13 @@ def test_conjectures_jobs_matches_serial(capsys):
     assert parallel == serial
 
 
+def test_conjectures_jobs_below_one_exits_one(capsys):
+    code, out, err = run(capsys, ["conjectures", "--nmax", "3", "--jobs", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: need jobs >= 1, got 0\n"
+
+
 def test_conjectures_invalid_nmax_exits_one(capsys):
     code, _, err = run(capsys, ["conjectures", "--nmax", "0"])
     assert code == 1
@@ -637,6 +669,43 @@ def test_counterexample_exit_code_is_three():
     assert sweep_exit_code([make("capped", "true")]) == 0
     assert sweep_exit_code([make("true", "false")]) == 3
     assert sweep_exit_code([make("false", "true"), make("true", "true")]) == 3
+
+
+# ---------------------------------------------------------- golden reports
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--m", "2", "--k", "1", "--d", "1", "--sizes", "3,2", "--oracle",
+         "--out", "dims.json"],
+        ["basis", "--k", "2", "--sizes", "2,1", "--out", "basis.json"],
+        ["layer-apply", "--weights", "w.json", "--input", "x.json", "--out", "layer_apply.json"],
+        ["cyclic-dims", "--n", "4", "--k", "3", "--oracle", "--out", "cyclic_dims.json"],
+        ["davenport", "--d", "3", "--out", "davenport.json"],
+        ["decompose", "--d", "3", "--monomial", "m.json", "--out", "decompose.json"],
+        ["conjectures", "--nmax", "4", "--cap", "full", "--out", "conjectures.csv",
+         "--json-out", "conjectures.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_match_golden_bytes(capsys, tmp_path, monkeypatch, argv):
+    # Relative paths, since the config echoes them; default budgets, since it
+    # echoes those too.
+    for name in Budgets.__dataclass_fields__:
+        monkeypatch.delenv("INVLAYERS_" + name.upper(), raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_weights(tmp_path / "w.json", W=[1, 0, 0, 0], v=[1, 0])
+    (tmp_path / "x.json").write_text(json.dumps([1.0, 2.0, 3.0]))
+    elements = [[1, 0]] * 3 + [[0, 1]] * 3 + [[1, 1], [2, 2]]
+    (tmp_path / "m.json").write_text(json.dumps(elements))
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    for flag, name in zip(argv, argv[1:]):
+        if flag in ("--out", "--json-out"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 # ------------------------------------------------------------- selftests

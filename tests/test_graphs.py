@@ -208,6 +208,13 @@ def test_enumeration_budget():
         enumerate_graphs(9)
 
 
+def test_every_enumerable_n_has_a_class_count_certificate():
+    from invlayers.graphs import _KNOWN_CLASS_COUNTS, _MAX_ENUM_N
+
+    assert set(range(_MAX_ENUM_N + 1)) <= set(_KNOWN_CLASS_COUNTS)
+    assert _KNOWN_CLASS_COUNTS[8] == 12346  # OEIS A000088
+
+
 @pytest.mark.slow
 def test_enumeration_count_n7():
     assert len(enumerate_graphs(7)) == 1044

@@ -143,6 +143,15 @@ def test_orbit_sums_partition_monomials():
             assert leads == sorted(leads, reverse=True)
 
 
+def test_orbit_counts_pack_no_monomials():
+    # only the generator scan packs monomials into ints; counting and listing
+    # orbits read the exponent rows
+    invariant_ring._monomials.cache_clear()
+    invariant_dim_by_degree(S3, 5)
+    monomial_orbit_sums(C3, 4)
+    assert invariant_ring._monomials.cache_info().currsize == 0
+
+
 # -------------------------------------------------------------------- Molien
 
 

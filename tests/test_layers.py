@@ -53,6 +53,8 @@ def test_invariant_pool_validation():
     p = InvariantPool(TypedNodeSet((2, 1)), [1.0, 0.0])
     with pytest.raises(ValueError):
         invariant_forward(p, np.zeros(4))
+    with pytest.raises(ValueError, match="vector"):
+        invariant_forward(p, 3.0)
 
 
 def test_equivariant_single_type_is_deepsets_form():

@@ -36,6 +36,12 @@ T21 = TypedNodeSet((2, 1))
 T22 = TypedNodeSet((2, 2))
 
 
+def test_full_basis_takes_no_axis_or_type_cap():
+    # order 9 and nine types each pass one above the default caps of 8
+    assert len(build_full_basis(9, TypedNodeSet((2,)))) == 21147  # bell(9)
+    assert len(build_full_basis(1, TypedNodeSet((1,) * 9))) == 9
+
+
 def desc(axis_types, blocks_by_type):
     gammas = tuple(SetPartition(tuple(map(tuple, b))) for b in blocks_by_type)
     return ColoredPartition(tuple(axis_types), gammas)
@@ -262,6 +268,9 @@ def test_equivariant_matrices_commute_with_group():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         build_full_basis(4, TypedNodeSet((60,)), budget=10**6)
+    # 27 index tuples fit, the gen_bell(3, 3) = 57 descriptors do not
+    with pytest.raises(BudgetError, match="57 descriptors"):
+        build_full_basis(3, TypedNodeSet((1, 1, 1)), budget=30)
     with pytest.raises(BudgetError):
         build_basis_element(
             desc((0, 0), [[[0], [1]]]), TypedNodeSet((2000,)), budget=10**6
