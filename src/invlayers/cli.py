@@ -379,7 +379,7 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
 
     cap_policy = _parse_cap(args.cap)
     if args.infile is not None:
-        graphs = read_graph6_file(args.infile)
+        graphs = read_graph6_file(args.infile, max_n=_MAX_SWEEP_N)
         result = sweep(
             0,
             cap_policy,
@@ -552,7 +552,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, Graph6ParseError
 from .permgroup import PermGroupSpec, Permutation, reduce_generators
@@ -181,17 +181,25 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_graph6_file(path) -> list[Graph]:
+def read_graph6_file(path, max_n: Optional[int] = None) -> list[Graph]:
+    """The graphs of a graph6 file, one a line, blank lines skipped.  A
+    graph with more than ``max_n`` vertices raises ``BudgetError`` naming
+    its line."""
     graphs = []
     with open(os.fspath(path), encoding="ascii") as fp:
         for number, line in enumerate(fp, 1):
             line = line.strip()
             if line:
                 try:
-                    graphs.append(parse_graph6(line))
+                    g = parse_graph6(line)
                 except Graph6ParseError as exc:
                     exc.args = (f"line {number}: {exc}",)
                     raise
+                if max_n is not None and g.n > max_n:
+                    raise BudgetError(
+                        f"line {number}: {g.n} vertices exceed the verification range cap {max_n}"
+                    )
+                graphs.append(g)
     return graphs
 
 

@@ -145,17 +145,10 @@ def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
     )
 
 
-def _check_monomial_budget(n: int, d: int, budget: Budgets) -> None:
-    count = math.comb(n + d - 1, d) if n > 0 else (1 if d == 0 else 0)
-    if count > budget.monomials_per_degree:
-        raise BudgetError(
-            f"degree {d} has {count} monomials on {n} variables; "
-            f"budget is {budget.monomials_per_degree}"
-        )
-
-
-def _orbit_partition(spec: PermGroupSpec, d: int):
-    """Partition the degree-d monomials into group orbits.
+def _orbit_partition(spec: PermGroupSpec, d: int, budget: Budgets):
+    """Partition the degree-d monomials into group orbits, refusing a
+    negative degree (``ValueError``) and a degree with more monomials than
+    the budget allows (``BudgetError``).
 
     Returns (orbit id per monomial, an int array in ``_exponent_rows``
     order; the row index of each orbit's lead, ascending).  Each generator
@@ -166,9 +159,18 @@ def _orbit_partition(spec: PermGroupSpec, d: int):
     row index is its lex-max member, so orbit ids are sorted by descending
     lead.
     """
-    rows = _exponent_rows(spec.n, d)
+    n = spec.n
+    if d < 0:
+        raise ValueError(f"need degree >= 0, got {d}")
+    count = math.comb(n + d - 1, d) if n > 0 else (1 if d == 0 else 0)
+    if count > budget.monomials_per_degree:
+        raise BudgetError(
+            f"degree {d} has {count} monomials on {n} variables; "
+            f"budget is {budget.monomials_per_degree}"
+        )
+    rows = _exponent_rows(n, d)
     # lexsort needs at least one key; on no variables every generator is the identity
-    gens = spec.generators if spec.n else ()
+    gens = spec.generators if n else ()
     images = [np.argsort(np.lexsort(rows[:, g.image[::-1]].T)[::-1]) for g in gens]
     firsts, ids = np.unique(_orbit_labels(len(rows), images), return_inverse=True)
     return ids, firsts
@@ -179,10 +181,7 @@ def invariant_dim_by_degree(
 ) -> int:
     """Dimension of the degree-d invariant subspace: the number of orbits
     of the group on degree-d exponent vectors."""
-    if degree < 0:
-        raise ValueError(f"need degree >= 0, got {degree}")
-    _check_monomial_budget(spec.n, degree, budget)
-    return len(_orbit_partition(spec, degree)[1])
+    return len(_orbit_partition(spec, degree, budget)[1])
 
 
 def monomial_orbit_sums(
@@ -191,10 +190,7 @@ def monomial_orbit_sums(
     """The orbit-sum basis of the degree-d invariants: one tuple of
     exponent vectors per orbit (lex-max member first), orbits sorted by
     descending lead."""
-    if degree < 0:
-        raise ValueError(f"need degree >= 0, got {degree}")
-    _check_monomial_budget(spec.n, degree, budget)
-    ids, firsts = _orbit_partition(spec, degree)
+    ids, firsts = _orbit_partition(spec, degree, budget)
     members: list[list[tuple[int, ...]]] = [[] for _ in firsts]
     # scanning in descending order sorts each member list, lead first
     for oid, row in zip(ids.tolist(), _exponent_rows(spec.n, degree).tolist()):
@@ -205,17 +201,22 @@ def monomial_orbit_sums(
 # -------------------------------------------------------------------- Molien
 
 
+def _series(parts: Iterable[int], top: int) -> list[int]:
+    """The coefficients of t^0..t^top in the product over k in parts of
+    1/(1 - t^k): at t^d, the number of multisets of parts summing to d."""
+    coeffs = [1] + [0] * top
+    for k in parts:
+        for i in range(k, top + 1):
+            coeffs[i] += coeffs[i - k]
+    return coeffs
+
+
 def _molien_from_elements(elements: Sequence[Permutation], max_degree: int) -> tuple[int, ...]:
     """Invariant dimensions by degree from the cycle-index series
     (1/|G|) * sum over elements of prod over cycles of 1/(1 - t^len)."""
     total = [0] * (max_degree + 1)
     for g in elements:
-        series = [1] + [0] * max_degree
-        for length in g.cycle_lengths():
-            for i in range(length, max_degree + 1):
-                series[i] += series[i - length]
-        for i in range(max_degree + 1):
-            total[i] += series[i]
+        total = [a + b for a, b in zip(total, _series(g.cycle_lengths(), max_degree))]
     order = len(elements)
     if order == 0:
         raise ValueError("empty element list")
@@ -255,21 +256,29 @@ class GeneratorDegreeResult:
     arithmetic: str
 
 
-@dataclasses.dataclass
-class _Generator:
-    degree: int
-    lead: int
-    members: tuple[int, ...]  # the packed monomials of its orbit
+class _Degree:
+    """The orbits of one scanned degree: its packed monomials (descending),
+    the orbit id of each (an int array), the packed lead of each orbit, and
+    ``col``, the orbit of each lead.  ``orbit_of``, the orbit of each
+    monomial, and ``members``, the monomials of each orbit, are built when
+    first read."""
 
+    def __init__(self, monomials: tuple[int, ...], ids: np.ndarray, leads: list[int]):
+        self.monomials = monomials
+        self.ids = ids
+        self.leads = leads
+        self.col = {lead: c for c, lead in enumerate(leads)}
 
-def _product_count(degrees: Sequence[int], d: int) -> int:
-    """The number of multisets of generators of the given degrees whose
-    degrees sum to d, by one pass over the sums 0..d per generator."""
-    ways = [1] + [0] * d
-    for k in degrees:
-        for s in range(k, d + 1):
-            ways[s] += ways[s - k]
-    return ways[d]
+    @functools.cached_property
+    def orbit_of(self) -> dict[int, int]:
+        return dict(zip(self.monomials, self.ids.tolist()))
+
+    @functools.cached_property
+    def members(self) -> list[list[int]]:
+        members: list[list[int]] = [[] for _ in self.leads]
+        for o, m in zip(self.ids.tolist(), self.monomials):
+            members[o].append(m)
+        return members
 
 
 def _strip_content(row: dict[int, int]) -> None:
@@ -286,8 +295,8 @@ def _eliminate(
     rows: Iterable[dict[int, int]],
     dim: int,
     prime: Optional[int],
-    cover: Optional[dict[int, tuple]] = None,
-    build: Optional[Callable[..., dict[int, int]]] = None,
+    cover: dict[int, tuple],
+    build: Callable[..., dict[int, int]],
 ) -> set[int]:
     """Sparse Gaussian elimination; returns the pivot columns, which depend
     on the rows' span alone, not on their order.  ``cover`` maps columns to
@@ -298,7 +307,7 @@ def _eliminate(
     scaled to lead coefficient 1 when stored.  The rows, fresh nonzero
     dicts, are reduced in place.  Stops as soon as the rank reaches dim
     (later rows, built lazily, are never built)."""
-    pivots: dict = dict(cover or {})
+    pivots: dict = dict(cover)
     for row in rows:
         while row:
             if not prime:
@@ -333,7 +342,12 @@ def _eliminate(
 
 
 class _RingScan:
-    """Degree-by-degree minimal-generator computation for one group."""
+    """Degree-by-degree minimal-generator computation for one group.
+
+    ``degrees[d]`` is the one record of scanned degree d, a ``_Degree``;
+    degree 0, the constant monomial alone, is built directly.  Each
+    generator found is held as its (degree, orbit) pair, so its lead and
+    its members are read from the record of its degree."""
 
     def __init__(
         self,
@@ -352,38 +366,10 @@ class _RingScan:
         self.molien = (
             _molien_from_elements(elements, cap) if elements is not None else None
         )
-        self.gens: list[_Generator] = []
-        # orbits[d]: (orbit id per degree-d monomial, lead per orbit)
-        self.orbits = [self._orbits(0)]
-        # cols[d]: the column of each orbit lead of degree d
-        self.cols = [{0: 0}]
-        self._where: dict[int, dict[int, int]] = {}
-        self._orbit_members: dict[int, list[list[int]]] = {}
+        self.degrees = [_Degree((0,), np.zeros(1, dtype=np.intp), [0])]
+        self.gens: list[tuple[int, int]] = []
 
     # ---- generator x orbit-sum rows
-
-    def _orbits(self, d: int) -> tuple[np.ndarray, list[int]]:
-        """The orbit id of each degree-d monomial and the packed lead of each orbit."""
-        ids, firsts = _orbit_partition(self.spec, d)
-        monos = _monomials(self.n, d, self.width)
-        return ids, [monos[i] for i in firsts.tolist()]
-
-    def _orbit_of(self, d: int) -> dict[int, int]:
-        """The orbit of each packed degree-d monomial, built when first needed."""
-        where = self._where.get(d)
-        if where is None:
-            monos = _monomials(self.n, d, self.width)
-            where = self._where[d] = dict(zip(monos, self.orbits[d][0].tolist()))
-        return where
-
-    def _members(self, d: int) -> list[list[int]]:
-        """The packed monomials of each orbit of degree d, built when first needed."""
-        members = self._orbit_members.get(d)
-        if members is None:
-            members = self._orbit_members[d] = [[] for _ in self.cols[d]]
-            for o, m in zip(self.orbits[d][0].tolist(), _monomials(self.n, d, self.width)):
-                members[o].append(m)
-        return members
 
     def _row(self, i: int, o: int, d: int) -> dict[int, int]:
         """g_i times the orbit sum of orbit o at degree d - deg g_i, as
@@ -391,11 +377,12 @@ class _RingScan:
         invariant, so its coefficient on an orbit is its coefficient on the
         orbit's lead: the number of members b of g_i and m of o with b + m
         that lead."""
-        gen = self.gens[i]
-        col = self.cols[d]
+        dg, g = self.gens[i]
+        gen = self.degrees[dg].members[g]
+        col = self.degrees[d].col
         row: dict[int, int] = {}
-        for m in self._members(d - gen.degree)[o]:
-            for b in gen.members:
+        for m in self.degrees[d - dg].members[o]:
+            for b in gen:
                 c = col.get(b + m)
                 if c is not None:
                     row[c] = row.get(c, 0) + 1
@@ -407,11 +394,11 @@ class _RingScan:
         an uncovered column m, the orbit o of L_m - b for each member b of
         g_i; then every other pair, so that a degree with new generators
         sees the whole product span."""
-        leads = self.orbits[d][1]
-        gens = [
-            (i, gen.members, self._orbit_of(d - gen.degree), len(self.cols[d - gen.degree]))
-            for i, gen in enumerate(self.gens)
-        ]
+        leads = self.degrees[d].leads
+        gens = []
+        for i, (dg, g) in enumerate(self.gens):
+            lower = self.degrees[d - dg]
+            gens.append((i, self.degrees[dg].members[g], lower.orbit_of, len(lower.leads)))
         touching = (
             (i, where.get(leads[m] - b))
             for m in range(len(leads))
@@ -431,9 +418,10 @@ class _RingScan:
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
-        ids, leads = self._orbits(d)
-        self.orbits.append((ids, leads))
-        self.cols.append({lead: c for c, lead in enumerate(leads)})
+        ids, firsts = _orbit_partition(self.spec, d, self.budget)
+        monomials = _monomials(self.n, d, self.width)
+        leads = [monomials[i] for i in firsts.tolist()]
+        self.degrees.append(_Degree(monomials, ids, leads))
         dim = len(leads)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
@@ -441,7 +429,7 @@ class _RingScan:
                 f"cycle-index series value {self.molien[d]}"
             )
         limit = self.budget.tuple_enumeration
-        if _product_count([gen.degree for gen in self.gens], d) > limit:
+        if _series((dg for dg, _ in self.gens), d)[d] > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
         # The row (i, o) has lead L_{g_i} + L_o.  If L_c - L_{g_i} borrows in
         # any field, it is negative or its fields sum to d - deg g_i plus
@@ -449,9 +437,9 @@ class _RingScan:
         # the lookup, as it should; so does a borrowed L_m - b in _extra_rows.
         cover: dict[int, tuple[int, int, int]] = {}
         uncovered = list(range(dim))
-        for i, gen in enumerate(self.gens):
-            col = self.cols[d - gen.degree]
-            found = [(c, col.get(leads[c] - gen.lead)) for c in uncovered]
+        for i, (dg, g) in enumerate(self.gens):
+            col, lead = self.degrees[d - dg].col, self.degrees[dg].leads[g]
+            found = [(c, col.get(leads[c] - lead)) for c in uncovered]
             cover.update((c, (i, o, d)) for c, o in found if o is not None)
             uncovered = [c for c, o in found if o is None]
         if len(cover) == dim:
@@ -464,18 +452,15 @@ class _RingScan:
             if len(_eliminate(self._extra_rows(d, cover), dim, _PRIME, cover, self._row)) == dim:
                 return dim, 0
         pivots = _eliminate(self._extra_rows(d, cover), dim, None, cover, self._row)
-        members = self._members(d)
-        new_cols = [c for c in range(dim) if c not in pivots]
-        for c in new_cols:
-            self.gens.append(_Generator(degree=d, lead=leads[c], members=tuple(members[c])))
-        return dim, len(new_cols)
+        new = [(d, c) for c in range(dim) if c not in pivots]
+        self.gens.extend(new)
+        return dim, len(new)
 
     def run(self) -> GeneratorDegreeResult:
         new_by_degree: list[tuple[int, int]] = []
         dims: list[int] = []
         for d in range(1, self.cap + 1):
             try:
-                _check_monomial_budget(self.n, d, self.budget)
                 dim, count = self._scan_degree(d)
             except BudgetError:
                 break

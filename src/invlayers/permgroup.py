@@ -121,7 +121,7 @@ class TypedNodeSet:
         if len(self.type_sizes) < 1:
             raise ValueError("need at least one type")
         for s in self.type_sizes:
-            if not isinstance(s, int) or s < 1:
+            if isinstance(s, bool) or not isinstance(s, int) or s < 1:
                 raise ValueError(f"type sizes must be positive ints, got {s!r}")
 
     @property

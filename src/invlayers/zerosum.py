@@ -94,9 +94,6 @@ class GroupSequence:
         """The multiset expanded to a sorted list."""
         return [e for e, m in self.counts for _ in range(m)]
 
-    def alpha(self) -> dict[tuple[int, int], int]:
-        return dict(self.counts)
-
     def sum_mod(self) -> tuple[int, int]:
         """Componentwise sum of all elements, reduced mod d."""
         p = sum(a * m for (a, _), m in self.counts) % self.d

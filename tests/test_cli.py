@@ -294,6 +294,17 @@ def test_layer_apply_malformed_weights_exits_one(capsys, tmp_path):
     assert "W" in err
 
 
+def test_layer_apply_refuses_bool_type_sizes(capsys, tmp_path):
+    # JSON true is a Python int, and would pass as a one-node block
+    w, x = tmp_path / "w.json", tmp_path / "x.json"
+    _write_weights(w, W=[1, 0, 0, 0], v=[1, 0], sizes=(True, 2))
+    x.write_text(json.dumps([1.0, 2.0, 3.0]))
+    code, out, err = run(capsys, ["layer-apply", "--weights", str(w), "--input", str(x)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: type sizes must be positive ints, got True\n"
+
+
 @pytest.mark.parametrize(
     "payload, named",
     [
@@ -599,6 +610,22 @@ def test_conjectures_names_the_line_of_a_bad_graph6_entry(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: line 2: byte 3: need 286 data bytes for n=59, found 2\n"
+
+
+def test_conjectures_holds_graph6_file_to_the_vertex_cap(capsys, tmp_path):
+    # an edgeless 8-vertex graph: its automorphism search alone keeps 8! orders
+    g6 = tmp_path / "graphs.g6"
+    g6.write_text("Bw\nG?????\n")
+    code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: budget exceeded: line 2: 8 vertices exceed the verification range cap 7\n"
+    )
+    g6.write_text("F????\n")  # seven vertices still run
+    code, out, _ = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 0
+    assert [r["n"] for r in csv.DictReader(out.splitlines())] == ["7"]
 
 
 def test_conjectures_cap_full_matches_default_for_small_n(capsys):

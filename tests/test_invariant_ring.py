@@ -122,6 +122,18 @@ def test_dims_budget():
         invariant_dim_by_degree(S3, 4, budget=Budgets(monomials_per_degree=10))
 
 
+@pytest.mark.parametrize(
+    "orbit_function", [invariant_dim_by_degree, monomial_orbit_sums], ids=["dim", "sums"]
+)
+def test_orbit_functions_refuse_negative_degree_and_monomial_overrun(orbit_function):
+    with pytest.raises(ValueError, match="got -1"):
+        orbit_function(S3, -1)
+    # degree 4 has 15 monomials on 3 variables
+    with pytest.raises(BudgetError, match="degree 4 has 15 monomials on 3 variables"):
+        orbit_function(S3, 4, budget=Budgets(monomials_per_degree=14))
+    orbit_function(S3, 4, budget=Budgets(monomials_per_degree=15))
+
+
 def test_orbit_sums_s3_degree2():
     sums = monomial_orbit_sums(S3, 2)
     assert sums == [
@@ -257,6 +269,13 @@ def test_generator_budget_degrades_gracefully():
     assert res.new_by_degree == ((1, 1),)
 
 
+def test_zero_monomial_budget_verifies_no_degree():
+    # degree 0 is built without the budget, so the scan stops at degree 1
+    res = generator_degrees(S3, 4, budget=Budgets(monomials_per_degree=0))
+    assert res.verified_up_to == 0
+    assert res.new_by_degree == () and res.dims == ()
+
+
 def test_generator_product_budget_stops_the_scan():
     # S3 has generators of degrees 1, 2, 3: 1, 2, 4, 5 and 7 products of
     # two or more factors at degrees 2 through 6
@@ -287,7 +306,7 @@ def test_product_count_matches_brute_count():
                 for combo in itertools.combinations_with_replacement(range(len(degrees)), k)
                 if sum(degrees[i] for i in combo) == d
             )
-            assert invariant_ring._product_count(degrees, d) == brute, (degrees, d)
+            assert invariant_ring._series(degrees, d)[d] == brute, (degrees, d)
 
 
 def _check_products_against_expansion(spec, cap):
@@ -315,35 +334,37 @@ def _check_products_against_expansion(spec, cap):
             members.add(tuple(moved))
         return frozenset(members)
 
-    for gen in scan.gens:
-        assert {exponents(b) for b in gen.members} == orbit_sum(exponents(gen.lead))
+    # each generator is a (degree, orbit) reference into the scan's records
+    gens = [(dg, scan.degrees[dg].leads[g], scan.degrees[dg].members[g]) for dg, g in scan.gens]
+    for _, gen_lead, gen_members in gens:
+        assert {exponents(b) for b in gen_members} == orbit_sum(exponents(gen_lead))
     for d in range(1, result.verified_up_to + 1):
-        packed_leads = scan.orbits[d][1]
+        packed_leads = scan.degrees[d].leads
         leads = [exponents(lead) for lead in packed_leads]
-        for i, gen in enumerate(scan.gens):
-            if gen.degree >= d:
+        for i, (gen_degree, gen_lead, gen_members) in enumerate(gens):
+            if gen_degree >= d:
                 continue
-            k = d - gen.degree
-            lower = [orbit_sum(exponents(lead)) for lead in scan.orbits[k][1]]
+            k = d - gen_degree
+            lower = [orbit_sum(exponents(lead)) for lead in scan.degrees[k].leads]
             orbit_of = {m: o for o, members in enumerate(lower) for m in members}
             lead_orbit = {max(members): o for o, members in enumerate(lower)}
             for o, members in enumerate(lower):
                 product = collections.Counter(
                     tuple(x + y for x, y in zip(b, m))
-                    for b in orbit_sum(exponents(gen.lead))
+                    for b in orbit_sum(exponents(gen_lead))
                     for m in members
                 )
                 expected = {c: product[e] for c, e in enumerate(leads) if e in product}
                 row = scan._row(i, o, d)
                 assert row == expected, (i, o, d)
-                top = tuple(x + y for x, y in zip(exponents(gen.lead), max(members)))
+                top = tuple(x + y for x, y in zip(exponents(gen_lead), max(members)))
                 assert leads[min(row)] == top and row[min(row)] == 1
             for lead, e in zip(packed_leads, leads):
-                for b in gen.members:
+                for b in gen_members:
                     diff = tuple(x - y for x, y in zip(e, exponents(b)))
-                    assert scan._orbit_of(k).get(lead - b) == orbit_of.get(diff)
-                diff = tuple(x - y for x, y in zip(e, exponents(gen.lead)))
-                assert scan.cols[k].get(lead - gen.lead) == lead_orbit.get(diff)
+                    assert scan.degrees[k].orbit_of.get(lead - b) == orbit_of.get(diff)
+                diff = tuple(x - y for x, y in zip(e, exponents(gen_lead)))
+                assert scan.degrees[k].col.get(lead - gen_lead) == lead_orbit.get(diff)
 
 
 # caps 7 and 8 fill the exponent fields (3 and 4 bits), so many L - b borrow

@@ -56,6 +56,12 @@ def test_typed_node_set():
         TypedNodeSet(())
 
 
+@pytest.mark.parametrize("sizes", [(True, 2), (2, False), (1.0, 2)])
+def test_typed_node_set_refuses_sizes_that_are_not_ints(sizes):
+    with pytest.raises(ValueError, match="type sizes must be positive ints"):
+        TypedNodeSet(sizes)
+
+
 def test_typed_node_set_blocks_read_cached_starts():
     t = TypedNodeSet((3, 1, 4))
     expected = [range(0, 3), range(3, 4), range(4, 8)]

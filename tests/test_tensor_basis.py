@@ -357,6 +357,13 @@ def test_load_rejects_header_count_that_is_not_a_nonnegative_int(field, value):
         load_basis(io.StringIO(json.dumps(doc)))
 
 
+def test_load_rejects_bool_type_size():
+    doc = _serialized_doc((1, 2), 1)
+    doc["type_sizes"] = [True, 2]
+    with pytest.raises(BasisFileError, match="type_sizes: type sizes must be positive ints"):
+        load_basis(io.StringIO(json.dumps(doc)))
+
+
 def test_load_rejects_empty_type_block():
     doc = _serialized_doc((2, 1), 1)
     doc["type_sizes"] = [0, 2, 1]
