@@ -367,7 +367,7 @@ def _parse_cap(text: str):
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"--cap must be 'full', '2n', or an integer, got {text!r}")
+        raise _UsageError(f"--cap must be 'full', '2n', or a nonnegative integer, got {text!r}")
 
 
 _MAX_SWEEP_N = 7

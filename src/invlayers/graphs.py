@@ -8,10 +8,14 @@ minimal, found by branch-and-bound; two graphs are isomorphic exactly when
 their canonical graph6 strings match.  The same search keeps every order
 that ties the minimum, and the automorphisms are the maps between those
 orders (the equivalent leaves of McKay's canonical search tree, "Practical
-Graph Isomorphism", 1981), so one search serves both.  Enumeration
-extends each (n-1)-vertex class by one new vertex attached to every
-possible neighbor subset and dedupes canonically, which reproduces the
-known class counts 1, 2, 4, 11, 34, 156, 1044 for n = 1..7.
+Graph Isomorphism", 1981), so one search serves both.  The search
+carries each unplaced vertex's column value down the tree, one shift-or per
+placed vertex, and a flag saying whether the prefix ties the best string.
+Enumeration extends each (n-1)-vertex class by one new vertex attached to
+one neighbor subset per orbit of the class's automorphism group (its
+smallest bitmask), which is complete because subsets in one orbit give
+isomorphic children, and dedupes canonically; it reproduces the known class
+counts 1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8.
 """
 
 from __future__ import annotations
@@ -55,12 +59,12 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {self.n!r}")
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
-            if not isinstance(row, int) or row < 0 or row >> self.n:
+            if isinstance(row, bool) or not isinstance(row, int) or row < 0 or row >> self.n:
                 raise ValueError(f"row {i} is not an {self.n}-bit mask: {row!r}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
@@ -215,7 +219,8 @@ def write_graph6_file(path, graphs: Iterable[Graph]) -> None:
 @functools.lru_cache(maxsize=1)
 def _optimal_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every vertex order minimizing the column-major upper-triangle
-    bitstring, in the order a depth-first branch and bound reaches them.
+    bitstring, in lexicographic order: a depth-first branch and bound tries
+    the candidates for each position by column value, ties by vertex.
     The last graph's result is kept, so asking for its automorphisms and
     its canonical form runs one search.
 
@@ -227,43 +232,41 @@ def _optimal_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     cut.
     """
     rows = g.rows
-    best_cols: list[int] | None = None
+    best: list[int] = []
+    placed: list[int] = []
+    cols: list[int] = []
     orders: list[tuple[int, ...]] = []
 
-    def column_value(placed: list[int], v: int) -> int:
-        # bits of adjacency between v and the placed prefix, earliest
-        # placed vertex most significant
-        val = 0
-        row = rows[v]
-        for u in placed:
-            val = (val << 1) | (row >> u & 1)
-        return val
-
-    def search(placed: list[int], cols: list[int], remaining: set[int]) -> None:
-        nonlocal best_cols
-        if not remaining:
-            if best_cols is None or cols < best_cols:
-                best_cols = list(cols)
-                orders.clear()
-            if cols == best_cols:
+    def search(candidates: list[tuple[int, int]], tie: bool) -> bool:
+        # candidates: (column value, vertex) of each unplaced vertex,
+        # ascending, a column value holding its adjacency to the placed
+        # prefix with the earliest placed vertex most significant; tie:
+        # whether the prefix equals the best string's (else it is smaller,
+        # or no string is known).  True when a new best string was found.
+        if not candidates:
+            if tie:
                 orders.append(tuple(placed))
-            return
+                return False
+            best[:] = cols
+            orders[:] = [tuple(placed)]
+            return True
         depth = len(cols)
-        scored = sorted((column_value(placed, v), v) for v in remaining)
-        for val, v in scored:
-            if best_cols is not None:
-                if cols + [val] > best_cols[: depth + 1]:
-                    break  # sorted ascending: all later candidates worse
+        improved = False
+        for val, v in candidates:
+            if tie and val > best[depth]:
+                break  # ascending: all later candidates worse
+            row = rows[v]
             placed.append(v)
             cols.append(val)
-            remaining.remove(v)
-            search(placed, cols, remaining)
-            remaining.add(v)
+            rest = sorted([((x << 1) | (row >> w & 1), w) for x, w in candidates if w != v])
+            if search(rest, tie and val == best[depth]):
+                improved = tie = True  # the new best string runs through this prefix
             cols.pop()
             placed.pop()
+        return improved
 
     # the first vertex has an empty column, so every start ties at 0
-    search([], [], set(range(g.n)))
+    search([(0, v) for v in range(g.n)], False)
     return tuple(orders)
 
 
@@ -296,16 +299,43 @@ def enumerate_graphs(n: int) -> list[Graph]:
     labeled and sorted by graph6 string.
 
     Built by extending every (n-1)-vertex class with a new vertex attached
-    to each neighbor subset, then deduping by canonical string; deleting the
+    to a neighbor subset, then deduping by canonical string; deleting the
     last vertex of any n-vertex graph shows the construction is complete.
+    Only the smallest bitmask of each orbit of the parent's automorphism
+    group on subsets is tried: an automorphism carrying one subset to
+    another extends, fixing the new vertex, to an isomorphism between their
+    children, so the skipped children repeat a tried one's class.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     return list(_enumerate_cached(n))
+
+
+def _extension_subsets(parent: Graph) -> list[int]:
+    """The smallest neighbor-subset bitmask in each orbit of the parent's
+    automorphism group, ascending."""
+    images = _automorphism_images(parent)
+    seen = bytearray(1 << parent.n)
+    kept = []
+    for subset in range(1 << parent.n):
+        if not seen[subset]:
+            kept.append(subset)
+            members = [i for i in range(parent.n) if subset >> i & 1]
+            for image in images:
+                seen[sum(1 << image[i] for i in members)] = 1
+    return kept
+
+
+def _extend(parent: Graph, subset: int) -> Graph:
+    """The parent plus a new last vertex adjacent to the vertices in
+    ``subset``."""
+    bit = 1 << parent.n
+    rows = [row | bit if subset >> i & 1 else row for i, row in enumerate(parent.rows)]
+    return Graph(parent.n + 1, (*rows, subset))
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Graph, ...]:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     if n > _MAX_ENUM_N:
         raise BudgetError(
             f"graph enumeration is supported up to n = {_MAX_ENUM_N}, got {n}"
@@ -314,13 +344,8 @@ def _enumerate_cached(n: int) -> tuple[Graph, ...]:
         return (Graph(0, ()),)
     seen: dict[str, Graph] = {}
     for parent in _enumerate_cached(n - 1):
-        for subset in range(1 << (n - 1)):
-            rows = [
-                row | ((subset >> i & 1) << (n - 1))
-                for i, row in enumerate(parent.rows)
-            ]
-            rows.append(subset)
-            child = canonical_form(Graph(n, tuple(rows)))
+        for subset in _extension_subsets(parent):
+            child = canonical_form(_extend(parent, subset))
             seen.setdefault(write_graph6(child), child)
     result = tuple(seen[key] for key in sorted(seen))
     if n in _KNOWN_CLASS_COUNTS and len(result) != _KNOWN_CLASS_COUNTS[n]:
@@ -344,15 +369,20 @@ def automorphism_group(g: Graph) -> PermGroupSpec:
     so callers may sum over it directly; use :func:`automorphism_generators`
     for a small generating set.
     """
+    elements = sorted(_automorphism_images(g))
+    return PermGroupSpec(n=g.n, generators=tuple(map(Permutation, elements)))
+
+
+def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:
+    """The image tuple of every automorphism, in search order."""
     first, *_ = orders = _optimal_orders(g)
-    elements: list[Permutation] = []
+    images = []
     for order in orders:
         image = [0] * g.n
         for u, v in zip(first, order):
             image[u] = v
-        elements.append(Permutation(tuple(image)))
-    elements.sort(key=lambda p: p.image)
-    return PermGroupSpec(n=g.n, generators=tuple(elements))
+        images.append(tuple(image))
+    return images
 
 
 def automorphism_generators(g: Graph) -> PermGroupSpec:

@@ -535,9 +535,11 @@ def _resolve_cap(policy, n: int) -> int:
         return full
     if policy == "2n":
         return min(2 * n, full)
-    if isinstance(policy, int) and policy >= 0:
+    if isinstance(policy, int) and not isinstance(policy, bool) and policy >= 0:
         return min(policy, full)
-    raise ValueError(f"cap policy must be 'full', '2n', or an integer, got {policy!r}")
+    raise ValueError(
+        f"cap policy must be 'full', '2n', or a nonnegative integer, got {policy!r}"
+    )
 
 
 def conjecture_verdict(

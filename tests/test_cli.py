@@ -671,6 +671,13 @@ def test_conjectures_bad_cap_exits_one(capsys):
     assert "--cap" in err
 
 
+def test_conjectures_negative_cap_exits_one(capsys):
+    code, out, err = run(capsys, ["conjectures", "--nmax", "3", "--cap", "-3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: cap policy must be 'full', '2n', or a nonnegative integer, got -3\n"
+
+
 def test_counterexample_exit_code_is_three():
     from invlayers.cli import sweep_exit_code
     from invlayers.invariant_ring import ConjectureReport

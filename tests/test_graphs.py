@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -50,6 +51,19 @@ def pack_graph6_oracle(g):
     return "".join(out)
 
 
+def brute_optimal_orders(g):
+    """Every vertex order whose column-major upper-triangle bitstring is
+    minimal, found by trying all n! orders, sorted lexicographically."""
+    strings = {
+        order: [
+            int(g.has_edge(order[i], order[j])) for j in range(g.n) for i in range(j)
+        ]
+        for order in itertools.permutations(range(g.n))
+    }
+    best = min(strings.values())
+    return sorted(order for order, bits in strings.items() if bits == best)
+
+
 def brute_automorphisms(g):
     perms = set()
     for image in itertools.permutations(range(g.n)):
@@ -83,6 +97,23 @@ def test_graph_validation():
         Graph(1, (0b1,))  # self-loop
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda: Graph(True, (0,)), "True"),
+        (lambda: Graph(2.0, (2, 1)), "2.0"),
+        (lambda: Graph(2, (2, True)), "True"),
+        (lambda: enumerate_graphs(True), "True"),
+        (lambda: enumerate_graphs(2.0), "2.0"),
+        (lambda: enumerate_graphs(-1), "-1"),
+    ],
+    ids=["graph-bool-n", "graph-float-n", "graph-bool-row", "enum-bool", "enum-float", "enum-neg"],
+)
+def test_vertex_counts_and_rows_must_be_ints(make, value):
+    with pytest.raises(ValueError, match=f"{value}$"):
+        make()
 
 
 def test_graph_relabel():
@@ -161,6 +192,18 @@ def test_canonical_invariant_under_relabeling():
             assert canonical_graph6(g.relabel(Permutation(image))) == base
 
 
+def test_optimal_orders_match_brute_force():
+    from invlayers.graphs import _optimal_orders
+
+    rng = np.random.default_rng(17)
+    sample = [g for n in range(6) for g in enumerate_graphs(n)]
+    sample += [enumerate_graphs(6)[int(i)] for i in rng.choice(156, size=12, replace=False)]
+    for g in sample:
+        moved = g.relabel(Permutation(tuple(map(int, rng.permutation(g.n)))))
+        for h in (g, moved) if g.n < 6 else (moved,):
+            assert list(_optimal_orders(h)) == brute_optimal_orders(h)
+
+
 def test_canonical_separates_nonisomorphic():
     star = graph(4, (0, 1), (0, 2), (0, 3))
     assert canonical_graph6(star) != canonical_graph6(PATH_4)
@@ -176,6 +219,29 @@ def test_canonical_form_is_isomorphic_relabeling():
 
 
 # ---------------------------------------------------------------- catalogue
+
+
+# sha256 of the newline-joined graph6 strings of enumerate_graphs(n),
+# frozen before enumeration skipped subsets in one automorphism orbit
+ENUMERATION_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    5: "978306f31045f9be78763583548ac8c32ffdd517ddccce984237ab3ec087ddb8",
+    6: "10598a4b41837b791c767d3042b58dc58a723ca5d99144fd8e24085c12a49acb",
+    7: "4a04fd789269433a870b8b1493182bfa0a73b637fd522eef4abcb1c7da75f9a1",
+}
+
+
+def enumeration_sha256(n):
+    text = "\n".join(write_graph6(g) for g in enumerate_graphs(n))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_pinned_hash(n):
+    assert enumeration_sha256(n) == ENUMERATION_SHA256[n]
 
 
 def test_enumeration_counts_small():
@@ -203,6 +269,26 @@ def test_enumeration_pairwise_nonisomorphic_n4():
     assert seen == {write_graph6(g) for g in graphs}
 
 
+def test_skipped_subsets_repeat_a_kept_childs_class():
+    # enumeration extends a parent by the smallest subset of each orbit of
+    # its automorphism group; every other subset's child is isomorphic to one
+    from invlayers.graphs import _extend, _extension_subsets
+
+    for parent in [g for n in range(6) for g in enumerate_graphs(n)]:
+        group = brute_automorphisms(parent)
+        orbit_minima = sorted(
+            {
+                min(sum(1 << image[i] for i in range(parent.n) if s >> i & 1) for image in group)
+                for s in range(1 << parent.n)
+            }
+        )
+        kept = _extension_subsets(parent)
+        assert kept == orbit_minima
+        kept_classes = {canonical_graph6(_extend(parent, s)) for s in kept}
+        for s in set(range(1 << parent.n)) - set(kept):
+            assert canonical_graph6(_extend(parent, s)) in kept_classes
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         enumerate_graphs(9)
@@ -218,6 +304,7 @@ def test_every_enumerable_n_has_a_class_count_certificate():
 @pytest.mark.slow
 def test_enumeration_count_n7():
     assert len(enumerate_graphs(7)) == 1044
+    assert enumeration_sha256(7) == ENUMERATION_SHA256[7]
 
 
 # ------------------------------------------------------------ automorphisms

@@ -508,6 +508,13 @@ def test_full_certification_cap():
     assert full_certification_cap(6) == 15
 
 
+@pytest.mark.parametrize("policy", [True, False, -3, 2.0, "half"])
+def test_cap_policy_refuses_what_is_not_a_nonnegative_integer(policy):
+    message = f"or a nonnegative integer, got {policy!r}$"
+    with pytest.raises(ValueError, match=message):
+        invariant_ring._resolve_cap(policy, 4)
+
+
 # ------------------------------------------------------------ conjectures
 
 
