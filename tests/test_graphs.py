@@ -222,7 +222,7 @@ def test_canonical_form_is_isomorphic_relabeling():
 
 
 # sha256 of the newline-joined graph6 strings of enumerate_graphs(n),
-# frozen before enumeration skipped subsets in one automorphism orbit
+# frozen from the enumeration that tried every neighbor subset of a parent
 ENUMERATION_SHA256 = {
     1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
     2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
