@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -379,42 +380,31 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
 
     cap_policy = _parse_cap(args.cap)
     if args.infile is not None:
-        graphs = read_graph6_file(args.infile, max_n=_MAX_SWEEP_N)
-        result = sweep(
-            0,
-            cap_policy,
-            arithmetic=args.arith,
-            budget=budget,
-            jobs=args.jobs,
-            graphs=graphs,
-        )
+        nmax, graphs = 0, read_graph6_file(args.infile, max_n=_MAX_SWEEP_N)
     else:
-        nmax = _require(args, "--nmax")
+        nmax, graphs = _require(args, "--nmax"), None
         if nmax > _MAX_SWEEP_N:
             raise BudgetError(
                 f"--nmax {nmax} exceeds the verification range cap {_MAX_SWEEP_N}"
             )
-        result = sweep(
-            nmax, cap_policy, arithmetic=args.arith, budget=budget, jobs=args.jobs
-        )
-    summary_lines = []
-    for n in sorted(result.summary):
-        entry = result.summary[n]
-        a, b = entry["a"], entry["b"]
-        summary_lines.append(
-            f"n={n}: {entry['classes']} classes, "
-            f"A true={a['true']} capped={a['capped']} false={a['false']}, "
-            f"B true={b['true']} capped={b['capped']} false={b['false']}"
-        )
+    result = sweep(
+        nmax, cap_policy, arithmetic=args.arith, budget=budget, jobs=args.jobs, graphs=graphs
+    )
     if args.out:
         write_reports_csv(result.reports, args.out)
         print(f"wrote {len(result.reports)} rows to {args.out}")
-        for line in summary_lines:
-            print(line)
+        summary_stream = sys.stdout
     else:
         sys.stdout.write(reports_csv_text(result.reports))
-        for line in summary_lines:
-            print(line, file=sys.stderr)
+        summary_stream = sys.stderr
+    for n, entry in sorted(result.summary.items()):
+        a, b = entry["a"], entry["b"]
+        print(
+            f"n={n}: {entry['classes']} classes, "
+            f"A true={a['true']} capped={a['capped']} false={a['false']}, "
+            f"B true={b['true']} capped={b['capped']} false={b['false']}",
+            file=summary_stream,
+        )
     if args.json_out:
         _report(
             args.json_out, args, budget, ["nmax", "cap", "arith", "jobs", "infile"],
@@ -427,22 +417,6 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _module_selftests(cmd: str):
-    from . import combinat, cyclic, graphs, invariant_ring, layers, permgroup
-    from . import tensor_basis, zerosum
-
-    return {
-        "dims": (combinat, permgroup),
-        "basis": (tensor_basis,),
-        "layer-apply": (layers,),
-        "cyclic-dims": (cyclic,),
-        "dft": (cyclic,),
-        "davenport": (zerosum,),
-        "decompose": (zerosum,),
-        "conjectures": (graphs, invariant_ring),
-    }[cmd]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="invlayers",
@@ -452,9 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"invlayers {__version__}")
     sub = parser.add_subparsers(dest="cmd")
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, handler, selftests: tuple[str, ...]):
+        """A subcommand parser that runs handler, or with --selftest the
+        selftest() of each named module."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(cmd=name)
+        p.set_defaults(handler=handler, selftests=selftests)
         p.add_argument(
             "--selftest",
             action="store_true",
@@ -463,28 +439,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write a JSON/CSV report here")
         return p
 
-    p = add("dims", "typed invariant-space dimension (colored-partition count)")
+    p = add("dims", "typed invariant-space dimension (colored-partition count)",
+            _cmd_dims, ("combinat", "permgroup"))
     p.add_argument("--m", type=int, default=None, help="number of node types")
     p.add_argument("--k", type=int, default=None, help="input tensor order")
     p.add_argument("--d", type=int, default=0, help="output tensor order (default 0)")
     p.add_argument("--sizes", type=_sizes_arg, default=None, help="comma list of type sizes")
     p.add_argument("--oracle", action="store_true", help="cross-check by orbit counting")
 
-    p = add("basis", "write the indicator-tensor basis for a typed node set")
+    p = add("basis", "write the indicator-tensor basis for a typed node set",
+            _cmd_basis, ("tensor_basis",))
     p.add_argument("--k", type=int, default=None, help="tensor order")
     p.add_argument("--sizes", type=_sizes_arg, default=None, help="comma list of type sizes")
 
-    p = add("layer-apply", "apply a serialized equivariant layer to a vector")
+    p = add("layer-apply", "apply a serialized equivariant layer to a vector",
+            _cmd_layer_apply, ("layers",))
     p.add_argument("--weights", default=None, help="JSON file: type_sizes, W, v, optional c")
     p.add_argument("--input", default=None, help="JSON file with the input vector")
 
-    p = add("cyclic-dims", "invariant dimensions for shift and translation groups")
+    p = add("cyclic-dims", "invariant dimensions for shift and translation groups",
+            _cmd_cyclic_dims, ("cyclic",))
     p.add_argument("--n", type=int, default=None, help="cyclic shift group size")
     p.add_argument("--d", type=int, default=None, help="grid side (translation group)")
     p.add_argument("--k", type=int, default=None, help="tensor order")
     p.add_argument("--oracle", action="store_true", help="cross-check by orbit counting")
 
-    p = add("dft", "2-D Fourier transform and the translation diagonalization check")
+    p = add("dft", "2-D Fourier transform and the translation diagonalization check",
+            _cmd_dft, ("cyclic",))
     p.add_argument("--d", type=int, default=None, help="grid side")
     p.add_argument("--check-diag", action="store_true", help="verify translations diagonalize")
     p.add_argument("--images", type=int, default=50, help="random images for the check")
@@ -493,14 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None, help="image/spectrum file to transform")
     p.add_argument("--inverse", action="store_true", help="apply the inverse transform")
 
-    p = add("davenport", "zero-sum constant and extremal witness for Z_d x Z_d")
+    p = add("davenport", "zero-sum constant and extremal witness for Z_d x Z_d",
+            _cmd_davenport, ("zerosum",))
     p.add_argument("--d", type=int, default=None, help="modulus")
 
-    p = add("decompose", "factor a zero-sum monomial into bounded-degree parts")
+    p = add("decompose", "factor a zero-sum monomial into bounded-degree parts",
+            _cmd_decompose, ("zerosum",))
     p.add_argument("--d", type=int, default=None, help="modulus")
     p.add_argument("--monomial", default=None, help="JSON file: list of [a, b] pairs")
 
-    p = add("conjectures", "generator-degree bound sweep over small graphs")
+    p = add("conjectures", "generator-degree bound sweep over small graphs",
+            _cmd_conjectures, ("graphs", "invariant_ring"))
     p.add_argument("--nmax", type=int, default=None, help="largest vertex count to sweep")
     p.add_argument("--in", dest="infile", default=None, help="graph6 file, one graph per line")
     p.add_argument("--cap", default="2n", help="degree cap policy: full, 2n, or an integer")
@@ -516,18 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "dims": _cmd_dims,
-    "basis": _cmd_basis,
-    "layer-apply": _cmd_layer_apply,
-    "cyclic-dims": _cmd_cyclic_dims,
-    "dft": _cmd_dft,
-    "davenport": _cmd_davenport,
-    "decompose": _cmd_decompose,
-    "conjectures": _cmd_conjectures,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -537,12 +509,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         if args.selftest:
-            for module in _module_selftests(args.cmd):
-                module.selftest()
+            for name in args.selftests:
+                importlib.import_module(f".{name}", __package__).selftest()
             print(f"{args.cmd} selftest ok")
             return 0
-        budget = Budgets.from_env()
-        return _HANDLERS[args.cmd](args, budget)
+        return args.handler(args, Budgets.from_env())
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

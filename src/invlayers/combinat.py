@@ -221,11 +221,8 @@ def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], -1)
 
 
-def enumerate_set_partitions(
-    k: int, cap: int | None = None
-) -> list[SetPartition]:
+def enumerate_set_partitions(k: int, cap: int = DEFAULT_BUDGETS.axis_cap) -> list[SetPartition]:
     """All partitions of axes ``0..k-1`` in canonical (RGS lex) order."""
-    cap = DEFAULT_BUDGETS.axis_cap if cap is None else cap
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > cap:
@@ -236,8 +233,8 @@ def enumerate_set_partitions(
 def enumerate_colored_partitions(
     k: int,
     m: int,
-    axis_cap: int | None = None,
-    type_cap: int | None = None,
+    axis_cap: int = DEFAULT_BUDGETS.axis_cap,
+    type_cap: int = DEFAULT_BUDGETS.type_cap,
 ) -> list[ColoredPartition]:
     """All m-colored partitions of axes ``0..k-1`` in canonical order.
 
@@ -245,8 +242,6 @@ def enumerate_colored_partitions(
     RGS order with the last type varying fastest.  The length of the
     result is ``gen_bell(m, k)``.
     """
-    axis_cap = DEFAULT_BUDGETS.axis_cap if axis_cap is None else axis_cap
-    type_cap = DEFAULT_BUDGETS.type_cap if type_cap is None else type_cap
     if k < 0:
         raise ValueError("k must be nonnegative")
     if m < 1:

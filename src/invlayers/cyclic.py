@@ -175,9 +175,12 @@ def verify_diagonalization(d: int, trials: int = 50, seed: int = 0) -> float:
 
 def _json_fields(path: str, *fields: str) -> list:
     """The named fields of the JSON object in a file; ValueError naming the
-    first one missing."""
+    file when it is not JSON, or the first field missing."""
     with open(path, encoding="utf-8") as fp:
-        data = json.load(fp)
+        try:
+            data = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
     for field in fields:
         if not isinstance(data, dict) or field not in data:
             raise ValueError(f"{path} is not a JSON object with a {field!r} field")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import string
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, Graph6ParseError
@@ -120,8 +121,9 @@ class Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 string (n <= 62)."""
-    text = text.strip()
+    """Decode a short-form graph6 string (n <= 62), ignoring ASCII
+    whitespace at either end."""
+    text = text.strip(string.whitespace)
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
     data = [ord(c) for c in text]
@@ -188,11 +190,12 @@ def write_graph6(g: Graph) -> str:
 def read_graph6_file(path, max_n: Optional[int] = None) -> list[Graph]:
     """The graphs of a graph6 file, one a line, blank lines skipped.  A
     graph with more than ``max_n`` vertices raises ``BudgetError`` naming
-    its line."""
+    its line.  Latin-1 maps each byte to one character, so a non-ASCII
+    byte reaches ``parse_graph6`` and is reported with its line."""
     graphs = []
-    with open(os.fspath(path), encoding="ascii") as fp:
+    with open(os.fspath(path), encoding="latin-1") as fp:
         for number, line in enumerate(fp, 1):
-            line = line.strip()
+            line = line.strip(string.whitespace)
             if line:
                 try:
                     g = parse_graph6(line)

@@ -67,14 +67,7 @@ import numpy as np
 
 from .budgets import DEFAULT, Budgets
 from .errors import BudgetError
-from .graphs import (
-    Graph,
-    automorphism_group,
-    canonical_graph6,
-    enumerate_graphs,
-    parse_graph6,
-    write_graph6,
-)
+from .graphs import Graph, automorphism_group, canonical_graph6, enumerate_graphs
 from .permgroup import (
     PermGroupSpec,
     Permutation,
@@ -640,13 +633,6 @@ class SweepResult:
     summary: dict
 
 
-def _sweep_worker(args) -> ConjectureReport:
-    graph6, cap_policy, arithmetic, budget = args
-    return check_conjectures(
-        parse_graph6(graph6), cap_policy, arithmetic=arithmetic, budget=budget
-    )
-
-
 def _summarize(reports: Sequence[ConjectureReport]) -> dict:
     summary: dict = {}
     for r in reports:
@@ -682,15 +668,14 @@ def sweep(
         if n_max < 1:
             raise ValueError(f"need n_max >= 1, got {n_max}")
         graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n)]
-    if jobs is not None and jobs > 1:
-        payload = [(write_graph6(g), cap_policy, arithmetic, budget) for g in graphs]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_worker, payload))
+    check = functools.partial(
+        check_conjectures, cap_policy=cap_policy, arithmetic=arithmetic, budget=budget
+    )
+    if jobs is None or jobs == 1:
+        reports = list(map(check, graphs))
     else:
-        reports = [
-            check_conjectures(g, cap_policy, arithmetic=arithmetic, budget=budget)
-            for g in graphs
-        ]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            reports = list(pool.map(check, graphs))
     reports.sort(key=lambda r: (r.n, r.graph6))
     return SweepResult(reports=tuple(reports), summary=_summarize(reports))
 

@@ -180,14 +180,15 @@ def translation_generators(d: int) -> PermGroupSpec:
     return PermGroupSpec(d * d, (row, col))
 
 
-def group_closure(spec: PermGroupSpec, cap: int | None = None) -> list[Permutation]:
+def group_closure(
+    spec: PermGroupSpec, cap: int = DEFAULT_BUDGETS.closure_cap
+) -> list[Permutation]:
     """All group elements by breadth-first multiplication.
 
     Always contains the identity.  Raises ``BudgetError`` as soon as more
     than ``cap`` elements have been found; the listing is never silently
     truncated.
     """
-    cap = DEFAULT_BUDGETS.closure_cap if cap is None else cap
     identity = Permutation.identity(spec.n)
     elements = {identity}
     frontier = [identity]
@@ -249,7 +250,7 @@ def _orbit_labels(size: int, images: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def orbit_count_on_tuples(
-    spec: PermGroupSpec, k: int, budget: int | None = None
+    spec: PermGroupSpec, k: int, budget: int = DEFAULT_BUDGETS.tuple_enumeration
 ) -> int:
     """Number of orbits of the diagonal action on k-tuples of points.
 
@@ -257,7 +258,6 @@ def orbit_count_on_tuples(
     for larger instances ``burnside_count`` gives the same number from
     the element listing without enumerating tuples.
     """
-    budget = DEFAULT_BUDGETS.tuple_enumeration if budget is None else budget
     if k < 0:
         raise ValueError("k must be nonnegative")
     if spec.n**k > budget:
@@ -272,7 +272,7 @@ def orbit_count_on_tuples(
     return int(np.count_nonzero(labels == np.arange(grid.size)))
 
 
-def burnside_count(spec: PermGroupSpec, k: int, cap: int | None = None) -> int:
+def burnside_count(spec: PermGroupSpec, k: int, cap: int = DEFAULT_BUDGETS.closure_cap) -> int:
     """Orbit count on k-tuples via the averaged fixed-point formula.
 
     A tuple is fixed by g exactly when every entry is a fixed point of g,

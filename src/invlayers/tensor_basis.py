@@ -67,7 +67,7 @@ class BasisElement:
 
 
 def build_basis_element(
-    desc: ColoredPartition, t: TypedNodeSet, budget: int | None = None
+    desc: ColoredPartition, t: TypedNodeSet, budget: int = DEFAULT_BUDGETS.tuple_enumeration
 ) -> BasisElement:
     """Realize one descriptor over a concrete typed node set.
 
@@ -76,7 +76,6 @@ def build_basis_element(
     per-type partitions exactly: axes in one partition block share a
     node, axes in different blocks of the same type take distinct nodes.
     """
-    budget = DEFAULT_BUDGETS.tuple_enumeration if budget is None else budget
     if desc.num_types != t.m:
         raise ValueError(f"descriptor has {desc.num_types} types, node set has {t.m}")
     k = desc.k
@@ -102,7 +101,7 @@ def build_basis_element(
 
 
 def build_full_basis(
-    k: int, t: TypedNodeSet, budget: int | None = None
+    k: int, t: TypedNodeSet, budget: int = DEFAULT_BUDGETS.tuple_enumeration
 ) -> list[BasisElement]:
     """All basis elements of order k for a typed node set, canonical order.
 
@@ -112,7 +111,6 @@ def build_full_basis(
     the one budget, which then bounds the work, so no axis or type cap
     applies.
     """
-    budget = DEFAULT_BUDGETS.tuple_enumeration if budget is None else budget
     if t.n**k > budget:
         raise BudgetError(f"{t.n}**{k} index tuples exceed budget {budget}")
     count = gen_bell(t.m, k)
@@ -125,7 +123,7 @@ def build_full_basis(
 
 
 def equivariant_basis(
-    k: int, d: int, t: TypedNodeSet, budget: int | None = None
+    k: int, d: int, t: TypedNodeSet, budget: int = DEFAULT_BUDGETS.tuple_enumeration
 ) -> list[BasisElement]:
     """Basis for equivariant linear maps from order-k to order-d tensors.
 

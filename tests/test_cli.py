@@ -419,6 +419,17 @@ def test_dft_input_without_pixels_exits_one(capsys, tmp_path):
     assert "'pixels'" in err
 
 
+def test_dft_input_that_is_not_json_names_the_file(capsys, tmp_path):
+    out = str(tmp_path / "z.json")
+    for flags, name in [([], "x.json"), (["--inverse"], "z_in.json")]:
+        bad = tmp_path / name
+        bad.write_text('{"pixels": [[1.0] [2.0]]}')
+        code, stdout, err = run(capsys, ["dft", *flags, "--in", str(bad), "--out", out])
+        assert code == 1
+        assert stdout == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad} is not valid JSON: ")
+
+
 def test_dft_inverse_input_without_re_or_im_exits_one(capsys, tmp_path):
     spec = tmp_path / "z.json"
     out = str(tmp_path / "y.csv")
@@ -593,6 +604,48 @@ def test_conjectures_nmax4_has_18_rows(capsys, tmp_path):
     assert data["summary"]["4"]["a"]["true"] == 11
 
 
+NMAX3_SUMMARY = (
+    "n=1: 1 classes, A true=1 capped=0 false=0, B true=1 capped=0 false=0\n"
+    "n=2: 2 classes, A true=2 capped=0 false=0, B true=2 capped=0 false=0\n"
+    "n=3: 4 classes, A true=4 capped=0 false=0, B true=4 capped=0 false=0\n"
+)
+
+
+def test_conjectures_console_streams(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["conjectures", "--nmax", "3"])
+    assert code == 0
+    assert out.startswith("graph6,n,aut_order,max_orbit,generator_degrees,verified_up_to,A,B\n")
+    assert len(out.splitlines()) == 8
+    assert err == NMAX3_SUMMARY
+    csv_text = out
+    code, out, err = run(capsys, ["conjectures", "--nmax", "3", "--out", "f.csv"])
+    assert code == 0
+    assert out == "wrote 7 rows to f.csv\n" + NMAX3_SUMMARY
+    assert err == ""
+    assert Path("f.csv").read_text() == csv_text
+
+
+def test_conjectures_pooled_graph6_file_matches_serial(capsys, tmp_path):
+    # seeded relabelings, most not in canonical form, so pooled workers get
+    # parsed non-canonical graphs
+    from invlayers.graphs import enumerate_graphs, write_graph6, write_graph6_file
+    from invlayers.permgroup import Permutation
+
+    rng = np.random.default_rng(29)
+    classes = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    moved = [g.relabel(Permutation(tuple(map(int, rng.permutation(g.n))))) for g in classes]
+    assert sum(write_graph6(h) != write_graph6(g) for h, g in zip(moved, classes)) > 20
+    g6 = tmp_path / "moved.g6"
+    write_graph6_file(g6, moved)
+    code, serial, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 0
+    code, pooled, pooled_err = run(capsys, ["conjectures", "--in", str(g6), "--jobs", "2"])
+    assert code == 0
+    assert pooled == serial and pooled_err == err
+    assert len(serial.splitlines()) == 1 + len(moved)
+
+
 def test_conjectures_reads_graph6_file(capsys, tmp_path):
     g6 = tmp_path / "graphs.g6"
     g6.write_text("Bw\nA_\n")  # triangle and a single edge
@@ -610,6 +663,19 @@ def test_conjectures_names_the_line_of_a_bad_graph6_entry(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: line 2: byte 3: need 286 data bytes for n=59, found 2\n"
+
+
+def test_conjectures_names_the_line_of_a_non_ascii_byte(capsys, tmp_path):
+    g6 = tmp_path / "graphs.g6"
+    g6.write_bytes(b"Bw\n\xff\xfe\n")
+    code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2: byte 0: invalid header byte 255\n"
+    g6.write_bytes(b"Bw\nC~\xa0\n")  # a non-ASCII space is data, not padding
+    code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 1
+    assert err == "error: line 2: byte 2: trailing bytes after 1 data bytes for n=4\n"
 
 
 def test_conjectures_holds_graph6_file_to_the_vertex_cap(capsys, tmp_path):
