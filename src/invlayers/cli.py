@@ -161,11 +161,11 @@ def _cmd_basis(args, budget: Budgets) -> int:
 
 
 def _load_json_file(path: str, flag: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
             return json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{flag} file {path} is not valid JSON: {exc}")
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ValueError(f"{flag} file {path} is not valid JSON: {exc}")
 
 
 def _float_array(value, what: str) -> np.ndarray:

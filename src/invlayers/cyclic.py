@@ -179,7 +179,7 @@ def _json_fields(path: str, *fields: str) -> list:
     with open(path, encoding="utf-8") as fp:
         try:
             data = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
     for field in fields:
         if not isinstance(data, dict) or field not in data:
@@ -208,7 +208,13 @@ class GridImage:
         if path.endswith(".json"):
             (pixels,) = _json_fields(path, "pixels")
             return cls(np.asarray(pixels, dtype=float))
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
+        try:
+            pixels = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            raise ValueError(
+                f"{path} is not CSV with the same number of comma-separated reals on every row"
+            ) from None
+        return cls(pixels)
 
     def save(self, path) -> None:
         path = os.fspath(path)

@@ -45,6 +45,19 @@ rank.  Otherwise one exact pass runs (fraction-free, with content
 stripping), and the orbits whose columns hold no pivot are the new
 generators.
 
+When the scan is given the group's elements, many degrees need no rank at
+all.  The elementary symmetric polynomials of each vertex orbit O, of
+degrees 1..|O|, form a homogeneous system of parameters θ.  In
+characteristic 0 the invariant ring is Cohen-Macaulay (Hochster and Eagon,
+Amer. J. Math. 93, 1971), hence a free C[θ]-module, generated by θ and by
+module generators counted by the Hilbert numerator N(t) = H(t) * prod
+(1 - t^deg θ_i), H the cycle-index series (Stanley, Bull. AMS 1, 1979).  So
+degree d holds at most B_d = N_d + #{O : |O| >= d} new generators, and
+where B_d = 0 the scan stops after the orbit count, its Molien cross-check
+and the product budget, before the cover.  Three checks guard the bound:
+N has no negative coefficient, N vanishes above sum |O|(|O|+1)/2 - n, and
+the new generators an exact pass finds never outnumber B_d.
+
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
 needed by invariant function approximators) and checks it against two
@@ -233,6 +246,28 @@ def molien_hilbert_coeffs(
     return _molien_from_elements(elements, max_degree)
 
 
+def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
+    """At index d >= 1, B_d: the most new generators degree d can hold,
+    given the invariant dimensions ``molien`` at degrees 0..cap and the
+    sizes of the vertex orbits (see the module docstring).
+
+    The numerator N = H * prod over orbits O of prod_{k=1..|O|} (1 - t^k)
+    is truncated at the cap; B_d = N_d + #{O : |O| >= d}.  Raises
+    ``AssertionError`` where N is negative, or nonzero above
+    sum |O|(|O|+1)/2 - n, which no Cohen-Macaulay ring allows."""
+    numerator = list(molien)
+    for size in orbit_sizes:
+        for k in range(1, size + 1):
+            for i in range(len(numerator) - 1, k - 1, -1):
+                numerator[i] -= numerator[i - k]
+    top = sum(size * (size - 1) // 2 for size in orbit_sizes)
+    if min(numerator) < 0 or any(numerator[top + 1 :]):
+        raise AssertionError(
+            f"Hilbert numerator {numerator} is negative, or nonzero above degree {top}"
+        )
+    return [c + sum(size >= d for size in orbit_sizes) for d, c in enumerate(numerator)]
+
+
 # ---------------------------------------------------------- generator scan
 
 
@@ -356,9 +391,10 @@ class _RingScan:
         self.width = _width(cap)
         self.budget = budget
         self.arithmetic = arithmetic
-        self.molien = (
-            _molien_from_elements(elements, cap) if elements is not None else None
-        )
+        self.molien = self.bound = None
+        if elements is not None:
+            self.molien = _molien_from_elements(elements, cap)
+            self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
         self.degrees = [_Degree((0,), np.zeros(1, dtype=np.intp), [0])]
         self.gens: list[tuple[int, int]] = []
 
@@ -424,6 +460,9 @@ class _RingScan:
         limit = self.budget.tuple_enumeration
         if _series((dg for dg, _ in self.gens), d)[d] > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
+        if self.bound is not None and not self.bound[d]:
+            # the Hilbert numerator allows no new generator here
+            return dim, 0
         # The row (i, o) has lead L_{g_i} + L_o.  If L_c - L_{g_i} borrows in
         # any field, it is negative or its fields sum to d - deg g_i plus
         # 2^w - 1 per borrow, so it is no monomial of that degree and misses
@@ -446,6 +485,11 @@ class _RingScan:
                 return dim, 0
         pivots = _eliminate(self._extra_rows(d, cover), dim, None, cover, self._row)
         new = [(d, c) for c in range(dim) if c not in pivots]
+        if self.bound is not None and len(new) > self.bound[d]:
+            raise AssertionError(
+                f"{len(new)} new generators at degree {d} exceed the Hilbert "
+                f"numerator bound {self.bound[d]}"
+            )
         self.gens.extend(new)
         return dim, len(new)
 

@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -29,7 +30,7 @@ from invlayers.cyclic import (
     verify_diagonalization,
 )
 from invlayers.graphs import enumerate_graphs
-from invlayers.invariant_ring import full_certification_cap, sweep
+from invlayers.invariant_ring import full_certification_cap, reports_csv_text, sweep
 from invlayers.layers import (
     EquivariantMap,
     equivariant_forward,
@@ -291,13 +292,16 @@ def test_criterion_09_conjecture_sweep_six_vertices(acceptance_record):
     reason="seven-vertex sweep is long-running; set INVLAYERS_RUN_N7=1 to include it",
 )
 def test_criterion_09_conjecture_sweep_seven_vertices_opt_in(acceptance_record):
-    """Opt-in: 1044 seven-vertex classes show no violation within cap 2n."""
+    """Opt-in: 1044 seven-vertex classes show no violation within cap 2n,
+    and their CSV matches the frozen one."""
     with criterion(acceptance_record, 9, "conjecture sweep n=7 cap 2n (opt-in)"):
         result = sweep(7, cap_policy="2n", graphs=enumerate_graphs(7))
         assert len(result.reports) == 1044
         for r in result.reports:
             assert r.a_verdict != "false"
             assert r.b_verdict != "false"
+        frozen = pathlib.Path(__file__).parent / "data" / "conjectures_n7_cap2n.csv"
+        assert reports_csv_text(result.reports) == frozen.read_text(encoding="utf-8")
 
 
 def test_criterion_10_training_benchmarks_substituted(acceptance_record):

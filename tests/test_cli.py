@@ -430,6 +430,43 @@ def test_dft_input_that_is_not_json_names_the_file(capsys, tmp_path):
         assert err.count("\n") == 1 and err.startswith(f"error: {bad} is not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["dft", "--in", "bad.json", "--out", "z.json"], ""),
+        (["decompose", "--d", "3", "--monomial", "bad.json"], "--monomial file "),
+        (["layer-apply", "--weights", "bad.json", "--input", "x.json"], "--weights file "),
+    ],
+)
+def test_json_input_that_is_not_utf8_names_the_file(tmp_path, argv, prefix):
+    (tmp_path / "bad.json").write_bytes(b"\xff{}")
+    (tmp_path / "x.json").write_text("[1.0, 2.0, 3.0]")
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlayers", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {prefix}bad.json is not valid JSON: ")
+
+
+@pytest.mark.parametrize("rows", ["1.0,abc\n3.0,4.0\n", "1.0,2.0\n3.0\n"])
+def test_dft_csv_input_that_is_not_numbers_names_the_file(capsys, tmp_path, rows):
+    bad = tmp_path / "x.csv"
+    bad.write_text(rows)
+    code, stdout, err = run(capsys, ["dft", "--in", str(bad), "--out", str(tmp_path / "z.json")])
+    assert code == 1
+    assert stdout == ""
+    assert err == (
+        f"error: {bad} is not CSV with the same number of comma-separated reals on every row\n"
+    )
+
+
 def test_dft_inverse_input_without_re_or_im_exits_one(capsys, tmp_path):
     spec = tmp_path / "z.json"
     out = str(tmp_path / "y.csv")

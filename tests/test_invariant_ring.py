@@ -629,14 +629,18 @@ SIX_SAMPLE_SIGNATURES = [
 ]
 
 
-def test_modular_report_matches_exact_on_six_vertex_sample():
+def six_vertex_sample():
+    """The first n=6 class in graph6 order of each sample signature."""
     first = {}
     for g in enumerate_graphs(6):  # graph6 order
         aut = automorphism_group(g)
         sizes = sorted((len(o) for o in vertex_orbits(aut)), reverse=True)
         first.setdefault((len(aut.generators), tuple(sizes)), g)
-    for signature in SIX_SAMPLE_SIGNATURES:
-        g = first[signature]
+    return [(signature, first[signature]) for signature in SIX_SAMPLE_SIGNATURES]
+
+
+def test_modular_report_matches_exact_on_six_vertex_sample():
+    for signature, g in six_vertex_sample():
         exact = check_conjectures(g, "2n", arithmetic="exact")
         modular = check_conjectures(g, "2n", arithmetic="modular")
         assert (exact.aut_order, exact.orbit_sizes) == signature
@@ -665,6 +669,60 @@ def test_report_checks_goebel_bound(monkeypatch):
     _overstate_beta(monkeypatch, 7)
     with pytest.raises(AssertionError, match="Goebel"):
         check_conjectures(k4, "full")
+
+
+# ------------------------------------------------- Hilbert numerator bound
+
+
+def test_generator_bound_pinned():
+    bound = invariant_ring._generator_bound
+    s6 = young_generators(TypedNodeSet((6,)))
+    assert bound(molien_hilbert_coeffs(s6, 9), [6])[1:] == [1] * 6 + [0] * 3  # D_G = 6
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    assert bound(molien_hilbert_coeffs(swap, 4), [2, 1])[1:] == [2, 1, 0, 0]  # D_G = 2
+    d7 = PermGroupSpec(7, (Permutation((1, 2, 3, 4, 5, 6, 0)), Permutation((0, 6, 5, 4, 3, 2, 1))))
+    b = bound(molien_hilbert_coeffs(d7, 21), [7])
+    assert b[16:] == [14, 6, 4, 0, 0, 0]  # D_G = 18
+    # numerators no Cohen-Macaulay ring has: 1 - t, and 1 + t + t^2 above degree 0
+    with pytest.raises(AssertionError, match="numerator"):
+        bound([1, 0, 0], [1])
+    with pytest.raises(AssertionError, match="numerator"):
+        bound([1, 2, 3], [1])
+
+
+def _scan_cases():
+    """(generators, elements, cap) per class: every n <= 5 class at cap
+    full, and the n=6 sample at cap 2n."""
+    graphs_and_caps = [
+        (g, full_certification_cap(n)) for n in range(1, 6) for g in enumerate_graphs(n)
+    ]
+    graphs_and_caps += [(g, 12) for _, g in six_vertex_sample()]
+    for g, cap in graphs_and_caps:
+        aut = automorphism_group(g)
+        yield PermGroupSpec(g.n, tuple(reduce_generators(aut.generators))), aut.generators, cap
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
+def test_numerator_skip_matches_full_scan(arithmetic):
+    # without elements the scan has no bound and scans every degree in full
+    for spec, elements, cap in _scan_cases():
+        skipped = generator_degrees(spec, cap, arithmetic=arithmetic, elements=elements)
+        assert skipped == generator_degrees(spec, cap, arithmetic=arithmetic), spec
+
+
+def test_scan_enforces_generator_bound(monkeypatch):
+    # the transposition (0 1) on 3 points has B_1 = 2 and two degree-1 generators
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    real = invariant_ring._generator_bound
+
+    def one_lower_at_degree_one(molien, orbit_sizes):
+        b = real(molien, orbit_sizes)
+        b[1] -= 1
+        return b
+
+    monkeypatch.setattr(invariant_ring, "_generator_bound", one_lower_at_degree_one)
+    with pytest.raises(AssertionError, match="numerator bound 1"):
+        generator_degrees(swap, 4, elements=group_closure(swap))
 
 
 # ----------------------------------------------------------------- sweep/IO
