@@ -70,7 +70,10 @@ def _report(path: Optional[str], args, budget: Budgets, keys: Sequence[str], **f
         config[key] = list(value) if isinstance(value, tuple) else value
     config["budget"] = dataclasses.asdict(budget)
     payload = {"version": __version__, "config": config, **fields}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the result holds a non-finite number, which JSON cannot hold") from None
     if path is None:
         sys.stdout.write(text)
     else:
@@ -170,9 +173,12 @@ def _load_json_file(path: str, flag: str):
 
 def _float_array(value, what: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except TypeError:
         raise ValueError(f"{what} must hold only numbers") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return arr
 
 
 def _cmd_layer_apply(args, budget: Budgets) -> int:
@@ -191,22 +197,23 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
         raise ValueError("--weights field 'type_sizes' must be a list of positive ints")
     t = TypedNodeSet(tuple(raw["type_sizes"]))
     m = t.m
-    W = _float_array(raw["W"], "--weights field 'W'")
+    where = f"--weights file {weights_path} field"
+    W = _float_array(raw["W"], f"{where} 'W'")
     if W.size != m * m:
         raise ValueError(f"--weights field W must have m*m = {m*m} entries, got {W.size}")
     W = W.reshape(m, m)
     layer = EquivariantMap(
         types=t,
         W=W,
-        v=_float_array(raw["v"], "--weights field 'v'"),
-        c=None if raw.get("c") is None else _float_array(raw["c"], "--weights field 'c'"),
+        v=_float_array(raw["v"], f"{where} 'v'"),
+        c=None if raw.get("c") is None else _float_array(raw["c"], f"{where} 'c'"),
     )
     data = _load_json_file(input_path, "--input")
     if isinstance(data, dict):
         if "x" not in data:
             raise ValueError("--input file must be a JSON list or contain an 'x' field")
         data = data["x"]
-    x = _float_array(data, "--input")
+    x = _float_array(data, f"--input file {input_path}")
     y = equivariant_forward(layer, x)
     _report(args.out, args, budget, ["weights", "input"], y=[float(v) for v in y])
     if args.out:
@@ -513,7 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 importlib.import_module(f".{name}", __package__).selftest()
             print(f"{args.cmd} selftest ok")
             return 0
-        return args.handler(args, Budgets.from_env())
+        # a result that overflows is refused, without warnings, where it is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args, Budgets.from_env())
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

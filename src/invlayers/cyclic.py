@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -187,6 +188,23 @@ def _json_fields(path: str, *fields: str) -> list:
     return [data[field] for field in fields]
 
 
+def _loaded(path: str, values) -> np.ndarray:
+    """A square real array read from a file; ValueError naming the file
+    when it is not one, or holds a non-finite number."""
+    try:
+        arr = _as_square(values, float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path} holds a non-finite number")
+    return arr
+
+
+def _refuse_non_finite(path: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"not writing {path}: the result holds a non-finite number")
+
+
 @dataclasses.dataclass
 class GridImage:
     """A square d x d real-valued image."""
@@ -207,20 +225,24 @@ class GridImage:
         path = os.fspath(path)
         if path.endswith(".json"):
             (pixels,) = _json_fields(path, "pixels")
-            return cls(np.asarray(pixels, dtype=float))
-        try:
-            pixels = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError:
-            raise ValueError(
-                f"{path} is not CSV with the same number of comma-separated reals on every row"
-            ) from None
-        return cls(pixels)
+        else:
+            try:
+                with warnings.catch_warnings():
+                    # an empty file is refused by _loaded as not square
+                    warnings.simplefilter("ignore", UserWarning)
+                    pixels = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError:
+                raise ValueError(
+                    f"{path} is not CSV with the same number of comma-separated reals on every row"
+                ) from None
+        return cls(_loaded(path, pixels))
 
     def save(self, path) -> None:
         path = os.fspath(path)
+        _refuse_non_finite(path, self.pixels)
         if path.endswith(".json"):
             with open(path, "w", encoding="utf-8") as fp:
-                json.dump({"d": self.d, "pixels": self.pixels.tolist()}, fp)
+                json.dump({"d": self.d, "pixels": self.pixels.tolist()}, fp, allow_nan=False)
                 fp.write("\n")
         else:
             np.savetxt(path, self.pixels, delimiter=",")
@@ -245,17 +267,20 @@ class SpectralImage:
 
     @classmethod
     def load(cls, path) -> "SpectralImage":
-        real, imag = _json_fields(os.fspath(path), "re", "im")
-        return cls(np.asarray(real, float) + 1j * np.asarray(imag, float))
+        path = os.fspath(path)
+        real, imag = _json_fields(path, "re", "im")
+        return cls(_loaded(path, real) + 1j * _loaded(path, imag))
 
     def save(self, path) -> None:
+        path = os.fspath(path)
+        _refuse_non_finite(path, self.coeffs)
         payload = {
             "d": self.d,
             "re": np.real(self.coeffs).tolist(),
             "im": np.imag(self.coeffs).tolist(),
         }
-        with open(os.fspath(path), "w", encoding="utf-8") as fp:
-            json.dump(payload, fp)
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(payload, fp, allow_nan=False)
             fp.write("\n")
 
     def idft(self) -> GridImage:

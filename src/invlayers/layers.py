@@ -36,19 +36,30 @@ def _per_node(t: TypedNodeSet, per_block: np.ndarray) -> np.ndarray:
 
 
 def _equivariant(
-    t: TypedNodeSet, W: np.ndarray, v: np.ndarray, x: np.ndarray
+    t: TypedNodeSet, W: np.ndarray, v: np.ndarray, x: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
     """The equivariant map on a channel stack, shared by every layer.
 
-    ``x`` is (n, c_in), ``W`` (c_in, c_out, m, m) and ``v`` (c_in, c_out, m);
-    output channel o at a node of block b is
-    sum_{i,a} W[i, o, a, b] * blocksum_a(x[:, i]) + sum_i v[i, o, b] * x[node, i].
+    ``x`` is (n, c_in), ``W`` (c_in, c_out, m, m), ``v`` (c_in, c_out, m) and
+    the optional ``bias`` (c_out, m); output channel o at a node of block b is
+    sum_{i,a} W[i, o, a, b] * blocksum_a(x[:, i]) + sum_i v[i, o, b] * x[node, i]
+    + bias[o, b].  The block sums are mixed in one matmul, and each block's
+    identity term is written straight into the output before its column of
+    the mix is added, so no per-node copy of the weights is built.
     """
-    mixed = np.tensordot(_block_sums(t, x), W, axes=([0, 1], [2, 0]))  # (c_out, m)
-    y = _per_node(t, mixed.T)
+    c_in, c_out, m, _ = W.shape
+    # row a*c_in + i of the reshaped W pairs with sums[a, i]; column o*m + b is mix[o, b]
+    mix = (
+        _block_sums(t, x).reshape(m * c_in)
+        @ W.transpose(2, 0, 1, 3).reshape(m * c_in, c_out * m)
+    ).reshape(c_out, m)
+    if bias is not None:
+        mix += bias
+    y = np.empty((x.shape[0], c_out))
     for b, block in enumerate(t.blocks()):
         rows = slice(block.start, block.stop)
-        y[rows] += x[rows] @ v[:, :, b]
+        np.matmul(x[rows], v[:, :, b], out=y[rows])
+        y[rows] += mix[:, b]
     return y
 
 
@@ -73,7 +84,7 @@ def invariant_forward(p: InvariantPool, x: np.ndarray) -> float | np.ndarray:
     if x.shape[0] != p.types.n:
         raise ValueError(f"expected {p.types.n} rows, got {x.shape}")
     sums = _block_sums(p.types, x)
-    out = np.tensordot(p.w, sums, axes=(0, 0))
+    out = p.w @ sums
     return float(out) if x.ndim == 1 else out
 
 
@@ -186,10 +197,7 @@ class MultiChannelEquivariant:
             raise ValueError(
                 f"expected shape ({self.types.n}, {self.c_in}), got {x.shape}"
             )
-        y = _equivariant(self.types, self.W, self.v, x)
-        if self.bias is not None:
-            y = y + _per_node(self.types, self.bias.T)
-        return y
+        return _equivariant(self.types, self.W, self.v, x, self.bias)
 
 
 @dataclass
@@ -332,3 +340,17 @@ def selftest() -> None:
             fpx = network_forward(net, px)
             assert np.max(np.abs(fx - fpx)) < 1e-10
         assert finite_diff_check(e, x) < 1e-6
+    # the multichannel kernel against the per-node broadcast of its weights
+    t = TypedNodeSet((3, 1, 2))
+    layer = MultiChannelEquivariant(
+        t,
+        rng.standard_normal((2, 3, 3, 3)),
+        rng.standard_normal((2, 3, 3)),
+        rng.standard_normal((3, 3)),
+    )
+    x = rng.standard_normal((t.n, 2))
+    sums = np.stack([x[block.start:block.stop].sum(axis=0) for block in t.blocks()])
+    per_block = np.einsum("ioab,ai->bo", layer.W, sums) + layer.bias.T
+    v_per_node = _per_node(t, layer.v.transpose(2, 0, 1))
+    want = _per_node(t, per_block) + np.einsum("ni,nio->no", x, v_per_node)
+    assert np.max(np.abs(layer.forward(x) - want)) < 1e-12

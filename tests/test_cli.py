@@ -325,6 +325,23 @@ def test_layer_apply_wrongly_typed_weights_exit_one(capsys, tmp_path, payload, n
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "W, x, named",
+    [
+        ([1, 0, 0, 0], [float("nan"), 1.0, 2.0], "--input file x.json"),
+        ([1, 0, float("inf"), 0], [1.0, 2.0, 3.0], "--weights file w.json field 'W'"),
+    ],
+)
+def test_layer_apply_refuses_non_finite_input(capsys, tmp_path, monkeypatch, W, x, named):
+    monkeypatch.chdir(tmp_path)
+    _write_weights(tmp_path / "w.json", W=W, v=[1, 0])
+    (tmp_path / "x.json").write_text(json.dumps(x))
+    code, out, err = run(capsys, ["layer-apply", "--weights", "w.json", "--input", "x.json"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {named} holds a non-finite number\n"
+
+
 # ------------------------------------------------------------ cyclic-dims
 
 
@@ -430,6 +447,17 @@ def test_dft_input_that_is_not_json_names_the_file(capsys, tmp_path):
         assert err.count("\n") == 1 and err.startswith(f"error: {bad} is not valid JSON: ")
 
 
+def _run_child(tmp_path, argv):
+    return subprocess.run(
+        [sys.executable, "-m", "invlayers", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+        cwd=tmp_path,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, prefix",
     [
@@ -441,14 +469,7 @@ def test_dft_input_that_is_not_json_names_the_file(capsys, tmp_path):
 def test_json_input_that_is_not_utf8_names_the_file(tmp_path, argv, prefix):
     (tmp_path / "bad.json").write_bytes(b"\xff{}")
     (tmp_path / "x.json").write_text("[1.0, 2.0, 3.0]")
-    proc = subprocess.run(
-        [sys.executable, "-m", "invlayers", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=_child_env(),
-        cwd=tmp_path,
-    )
+    proc = _run_child(tmp_path, argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
@@ -465,6 +486,64 @@ def test_dft_csv_input_that_is_not_numbers_names_the_file(capsys, tmp_path, rows
     assert err == (
         f"error: {bad} is not CSV with the same number of comma-separated reals on every row\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("x.csv", "nan,1.0\n2.0,3.0\n"),
+        ("x.json", '{"pixels": [[1.0, Infinity], [2.0, 3.0]]}'),
+    ],
+)
+def test_dft_refuses_non_finite_pixels(capsys, tmp_path, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = tmp_path / "z.json"
+    code, stdout, err = run(capsys, ["dft", "--in", str(bad), "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {bad} holds a non-finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, shape", [("", "(0, 1)"), ("1.0,2.0,3.0\n4.0,5.0,6.0\n", "(2, 3)")]
+)
+def test_dft_csv_that_is_empty_or_not_square_names_the_file(tmp_path, rows, shape):
+    # in a child process, so that a warning printed to stderr would show
+    (tmp_path / "x.csv").write_text(rows)
+    proc = _run_child(tmp_path, ["dft", "--in", "x.csv", "--out", "z.json"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: x.csv: expected a square d x d array, got shape {shape}\n"
+
+
+_LAYER_APPLY = ["layer-apply", "--weights", "w.json", "--input", "x.json"]
+_JSON_CANNOT_HOLD = "the result holds a non-finite number, which JSON cannot hold"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_LAYER_APPLY, _JSON_CANNOT_HOLD),
+        (_LAYER_APPLY + ["--out", "y.json"], _JSON_CANNOT_HOLD),
+        (
+            ["dft", "--in", "x.csv", "--out", "y.json"],
+            "not writing y.json: the result holds a non-finite number",
+        ),
+    ],
+)
+def test_overflowing_results_are_one_error_line(tmp_path, argv, message):
+    # finite inputs whose results overflow: no warning, and no file written
+    (tmp_path / "w.json").write_text(
+        json.dumps({"type_sizes": [2, 1], "W": [[1e308] * 2] * 2, "v": [1e308, 1.0]})
+    )
+    (tmp_path / "x.json").write_text(json.dumps([1e308, 1e308, 1.0]))
+    (tmp_path / "x.csv").write_text("1e308,1e308\n1e308,1e308\n")
+    proc = _run_child(tmp_path, argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "y.json").exists()
 
 
 def test_dft_inverse_input_without_re_or_im_exits_one(capsys, tmp_path):

@@ -253,30 +253,84 @@ def test_equivariant_forward_matches_block_formula_exactly():
             )
 
 
+def per_node_reference(layer, x):
+    # broadcast the identity weights to one (c_out, c_in) matrix per node
+    # and contract each node's input channels with it
+    sizes = layer.types.type_sizes
+    sums = np.add.reduceat(x, np.cumsum((0,) + sizes[:-1]), axis=0)
+    per_block = np.einsum("ioab,ai->bo", layer.W, sums)
+    v_per_node = np.repeat(np.einsum("iob->boi", layer.v), sizes, axis=0)
+    want = np.repeat(per_block, sizes, axis=0) + np.einsum("noi,ni->no", v_per_node, x)
+    if layer.bias is not None:
+        want += np.repeat(layer.bias.T, sizes, axis=0)
+    return want
+
+
+def random_layer(rng, sizes, c_in, c_out):
+    m = len(sizes)
+    return MultiChannelEquivariant(
+        TypedNodeSet(sizes),
+        rng.standard_normal((c_in, c_out, m, m)),
+        rng.standard_normal((c_in, c_out, m)),
+        rng.standard_normal((c_out, m)),
+    )
+
+
 def test_multichannel_matches_per_node_weight_formula():
-    # reference: broadcast the identity weights to one (c_out, c_in)
-    # matrix per node and contract each node's input channels with it
     rng = np.random.default_rng(12)
     for m in list(range(1, 7)) * 5:
         sizes = random_sizes(rng, m)
-        t = TypedNodeSet(sizes)
         c_in, c_out = (int(c) for c in rng.integers(1, 5, 2))
-        layer = MultiChannelEquivariant(
-            t,
-            rng.standard_normal((c_in, c_out, m, m)),
-            rng.standard_normal((c_in, c_out, m)),
-            rng.standard_normal((c_out, m)),
-        )
-        x = rng.standard_normal((t.n, c_in))
-        sums = np.add.reduceat(x, np.cumsum((0,) + sizes[:-1]), axis=0)
-        per_block = np.einsum("ioab,ai->bo", layer.W, sums)
-        v_per_node = np.repeat(np.einsum("iob->boi", layer.v), sizes, axis=0)
-        want = (
-            np.repeat(per_block, sizes, axis=0)
-            + np.einsum("noi,ni->no", v_per_node, x)
-            + np.repeat(layer.bias.T, sizes, axis=0)
-        )
+        layer = random_layer(rng, sizes, c_in, c_out)
+        x = rng.standard_normal((layer.types.n, c_in))
+        assert np.allclose(layer.forward(x), per_node_reference(layer, x), rtol=0, atol=1e-12)
+
+
+def test_multichannel_input_in_any_memory_layout():
+    rng = np.random.default_rng(21)
+    layer = random_layer(rng, (4, 1, 3), 3, 5)
+    wide = rng.standard_normal((8, 6))
+    for x in (np.asfortranarray(wide[:, :3]), wide[:, ::2]):
+        assert not x.flags.c_contiguous
+        want = per_node_reference(layer, np.array(x))
         assert np.allclose(layer.forward(x), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sizes, c_in, c_out",
+    [((1, 1, 1), 2, 3), ((1, 4, 1, 2), 3, 2), ((3, 1, 2), 1, 1), ((1,), 1, 1)],
+)
+def test_multichannel_single_node_blocks_and_single_channels(sizes, c_in, c_out):
+    rng = np.random.default_rng(22)
+    layer = random_layer(rng, sizes, c_in, c_out)
+    x = rng.standard_normal((layer.types.n, c_in))
+    assert np.allclose(layer.forward(x), per_node_reference(layer, x), rtol=0, atol=1e-12)
+
+
+def test_multichannel_forward_leaves_its_operands_alone():
+    rng = np.random.default_rng(23)
+    layer = random_layer(rng, (2, 3), 4, 4)
+    x = rng.standard_normal((5, 4))
+    before = [a.copy() for a in (layer.W, layer.v, layer.bias, x)]
+    y = layer.forward(x)
+    assert not np.shares_memory(y, x)
+    for a, b in zip((layer.W, layer.v, layer.bias, x), before):
+        assert np.array_equal(a, b)
+    assert np.array_equal(layer.forward(x), y)
+
+
+def test_invariant_pool_matches_weighted_block_sums():
+    rng = np.random.default_rng(24)
+    t = TypedNodeSet((3, 1, 4))
+    p = InvariantPool(t, rng.standard_normal(3))
+    x = rng.standard_normal((t.n, 5))
+    want = sum(w * x[block.start:block.stop].sum(axis=0) for w, block in zip(p.w, t.blocks()))
+    got = invariant_forward(p, x)
+    assert got.shape == (5,)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    one = invariant_forward(p, x[:, 0])
+    assert isinstance(one, float)
+    assert one == pytest.approx(want[0], rel=0, abs=1e-12)
 
 
 def test_depth_zero_network_pools_each_channel():
