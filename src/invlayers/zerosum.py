@@ -21,6 +21,7 @@ and re-checks each sequence the Davenport search (a bitmask one) finds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from array import array
 from collections import Counter, defaultdict
@@ -198,9 +199,14 @@ def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:
     return _first_zero_sum(s.d, s.elements(), flat=s.d * s.d <= combos) is None
 
 
+@functools.lru_cache(maxsize=None)
 def _max_zero_sum_free_length(d: int) -> tuple[int, GroupSequence]:
     """Exhaustive search for the longest zero-sum-free sequence over
     Z_d x Z_d; returns the length and the first such sequence found.
+
+    The result depends on d alone, so the search runs once per d per
+    process; ``davenport_constant`` still re-checks the length and the
+    sequence on every call, under that call's budget.
 
     Depth-first over multisets of nonzero elements in nondecreasing order,
     carrying the achievable nonempty subset sums as a bitmask (bit a*d + b
@@ -271,6 +277,8 @@ def davenport_constant(d: int, budget: Budgets = DEFAULT) -> DavenportResult:
     2d - 2 is verified zero-sum-free and the constant 2d - 1 is reported
     uncertified.
     """
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     witness = _classical_witness(d)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,59 @@ def test_verify_zero_sum_free_holds_only_reachable_sums_for_a_huge_modulus():
 )
 def test_davenport_search_longest_and_first_sequence_frozen(d, length, first):
     assert zerosum._max_zero_sum_free_length(d) == (length, seq(d, *first))
+
+
+def test_davenport_search_runs_once_per_d():
+    search = zerosum._max_zero_sum_free_length
+    search.cache_clear()
+    assert davenport_constant(4) == davenport_constant(4)
+    info = search.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_davenport_cached_search_keeps_the_callers_budget():
+    davenport_constant(4)
+    assert not davenport_constant(4, Budgets(davenport_exhaustive_max_d=3)).certified
+    # the witness (1, 0)^3 (0, 1)^3 has 16 sub-multisets
+    with pytest.raises(BudgetError):
+        davenport_constant(4, Budgets(tuple_enumeration=8))
+
+
+def test_davenport_cached_search_is_rechecked_every_call(monkeypatch):
+    davenport_constant(4)
+    checked = []
+    real = zerosum.verify_zero_sum_free
+
+    def counting(s, budget):
+        checked.append(s)
+        return real(s, budget)
+
+    monkeypatch.setattr(zerosum, "verify_zero_sum_free", counting)
+    assert davenport_constant(4).certified
+    assert len(checked) == 2  # the classical witness, then the search's sequence
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        lambda d: (2 * d - 1, seq(d, *[(1, 0)] * (d - 1), *[(0, 1)] * d)),
+        lambda d: (2 * d - 2, seq(d, (0, 0), *[(1, 0)] * (2 * d - 3))),
+    ],
+    ids=["too_long", "holds_zero"],
+)
+def test_davenport_rejects_a_wrong_search_result(monkeypatch, found):
+    monkeypatch.setattr(zerosum, "_max_zero_sum_free_length", found)
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            davenport_constant(4)
+
+
+@pytest.mark.parametrize("d", ["3", 2.0, True, None])
+def test_davenport_rejects_a_non_integer_d(d):
+    davenport_constant(1)  # True == 1, so True must not reach this memo entry
+    for call in (davenport_constant, max_generator_degree_translation):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer, got {d!r}")):
+            call(d)
 
 
 # ------------------------------------------------------------- decomposition
