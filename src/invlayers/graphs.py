@@ -75,6 +75,15 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph whose rows are valid by construction, built without the
+        checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for i, j in edges:
@@ -114,7 +123,7 @@ class Graph:
                     a, b = perm.image[i], perm.image[j]
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
 
 # ------------------------------------------------------------------- graph6
@@ -334,7 +343,7 @@ def _extend(parent: Graph, subset: int) -> Graph:
     ``subset``."""
     bit = 1 << parent.n
     rows = [row | bit if subset >> i & 1 else row for i, row in enumerate(parent.rows)]
-    return Graph(parent.n + 1, (*rows, subset))
+    return Graph._trusted(parent.n + 1, (*rows, subset))
 
 
 @functools.lru_cache(maxsize=None)

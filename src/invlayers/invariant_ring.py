@@ -73,7 +73,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -158,12 +157,14 @@ def _orbit_partition(spec: PermGroupSpec, d: int, budget: Budgets):
 
     Returns (orbit id per monomial, an int array in ``_exponent_rows``
     order; the row index of each orbit's lead, ascending).  Each generator
-    permutes the columns of the exponent rows.  The row set is closed under
-    the group, so sorting the permuted rows into descending lex order (a
-    reversed ``lexsort``) names, for each row, the row mapped onto it;
-    ``argsort`` inverts that into each row's image.  An orbit's smallest
-    row index is its lex-max member, so orbit ids are sorted by descending
-    lead.
+    g permutes the columns of the exponent rows.  The row set is closed
+    under the group, so sorting the permuted rows into descending lex order
+    (a reversed ``lexsort``) names, for each row, the row g maps onto it:
+    that is the map of g^-1, which generates the same cyclic group, so the
+    orbits are the same.  An orbit's smallest row index is its lex-max
+    member and its label, so the rows that label themselves are the leads,
+    in ascending order, and a running count of them numbers the orbits by
+    descending lead, in one pass with no sort.
     """
     n = spec.n
     if d < 0:
@@ -177,9 +178,9 @@ def _orbit_partition(spec: PermGroupSpec, d: int, budget: Budgets):
     rows = _exponent_rows(n, d)
     # lexsort needs at least one key; on no variables every generator is the identity
     gens = spec.generators if n else ()
-    images = [np.argsort(np.lexsort(rows[:, g.image[::-1]].T)[::-1]) for g in gens]
-    firsts, ids = np.unique(_orbit_labels(len(rows), images), return_inverse=True)
-    return ids, firsts
+    labels = _orbit_labels(len(rows), (np.lexsort(rows[:, g.image[::-1]].T)[::-1] for g in gens))
+    lead = labels == np.arange(len(rows))
+    return (np.cumsum(lead) - 1)[labels], np.flatnonzero(lead)
 
 
 def invariant_dim_by_degree(
@@ -286,16 +287,25 @@ class GeneratorDegreeResult:
 
 class _Degree:
     """The orbits of one scanned degree: its packed monomials (descending),
-    the orbit id of each (an int array), the packed lead of each orbit, and
-    ``col``, the orbit of each lead.  ``orbit_of``, the orbit of each
-    monomial, and ``members``, the monomials of each orbit, are built when
-    first read."""
+    the orbit id of each and the index of each orbit's lead among the
+    monomials (int arrays, as ``_orbit_partition`` returns them).  The
+    tables read off them are built when first read, since a degree the
+    Hilbert numerator settles may never need them: ``leads``, the packed
+    lead of each orbit; ``col``, the orbit of each lead; ``orbit_of``, the
+    orbit of each monomial; and ``members``, the monomials of each orbit."""
 
-    def __init__(self, monomials: tuple[int, ...], ids: np.ndarray, leads: list[int]):
+    def __init__(self, monomials: tuple[int, ...], ids: np.ndarray, firsts: np.ndarray):
         self.monomials = monomials
         self.ids = ids
-        self.leads = leads
-        self.col = {lead: c for c, lead in enumerate(leads)}
+        self.firsts = firsts
+
+    @functools.cached_property
+    def leads(self) -> list[int]:
+        return [self.monomials[i] for i in self.firsts.tolist()]
+
+    @functools.cached_property
+    def col(self) -> dict[int, int]:
+        return {lead: c for c, lead in enumerate(self.leads)}
 
     @functools.cached_property
     def orbit_of(self) -> dict[int, int]:
@@ -303,7 +313,7 @@ class _Degree:
 
     @functools.cached_property
     def members(self) -> list[list[int]]:
-        members: list[list[int]] = [[] for _ in self.leads]
+        members: list[list[int]] = [[] for _ in self.firsts]
         for o, m in zip(self.ids.tolist(), self.monomials):
             members[o].append(m)
         return members
@@ -395,7 +405,8 @@ class _RingScan:
         if elements is not None:
             self.molien = _molien_from_elements(elements, cap)
             self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
-        self.degrees = [_Degree((0,), np.zeros(1, dtype=np.intp), [0])]
+        zero = np.zeros(1, dtype=np.intp)
+        self.degrees = [_Degree((0,), zero, zero)]
         self.gens: list[tuple[int, int]] = []
 
     # ---- generator x orbit-sum rows
@@ -427,7 +438,7 @@ class _RingScan:
         gens = []
         for i, (dg, g) in enumerate(self.gens):
             lower = self.degrees[d - dg]
-            gens.append((i, self.degrees[dg].members[g], lower.orbit_of, len(lower.leads)))
+            gens.append((i, self.degrees[dg].members[g], lower.orbit_of, len(lower.firsts)))
         touching = (
             (i, where.get(leads[m] - b))
             for m in range(len(leads))
@@ -448,10 +459,9 @@ class _RingScan:
         """The invariant dimension at degree d and the number of new
         generators found there."""
         ids, firsts = _orbit_partition(self.spec, d, self.budget)
-        monomials = _monomials(self.n, d, self.width)
-        leads = [monomials[i] for i in firsts.tolist()]
-        self.degrees.append(_Degree(monomials, ids, leads))
-        dim = len(leads)
+        degree = _Degree(_monomials(self.n, d, self.width), ids, firsts)
+        self.degrees.append(degree)
+        dim = len(firsts)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
                 f"orbit count {dim} at degree {d} disagrees with the "
@@ -467,6 +477,7 @@ class _RingScan:
         # any field, it is negative or its fields sum to d - deg g_i plus
         # 2^w - 1 per borrow, so it is no monomial of that degree and misses
         # the lookup, as it should; so does a borrowed L_m - b in _extra_rows.
+        leads = degree.leads
         cover: dict[int, tuple[int, int, int]] = {}
         uncovered = list(range(dim))
         for i, (dg, g) in enumerate(self.gens):
@@ -718,6 +729,8 @@ def sweep(
     if jobs is None or jobs == 1:
         reports = list(map(check, graphs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(check, graphs))
     reports.sort(key=lambda r: (r.n, r.graph6))

@@ -224,9 +224,10 @@ def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
     return gens
 
 
-def _orbit_labels(size: int, images: Sequence[Sequence[int]]) -> np.ndarray:
+def _orbit_labels(size: int, images: Iterable[Sequence[int]]) -> np.ndarray:
     """Label each point ``0..size-1`` with the smallest point of its orbit,
-    where ``images[g][x]`` is the image of point x under generator g.
+    where ``images`` holds one map per generator, the image of point x under
+    it at index x (a 2-D array gives one map per row).
 
     Every label stays a point of its own orbit: a round takes the minimum
     over each generator's images and over each generator's power
@@ -235,18 +236,22 @@ def _orbit_labels(size: int, images: Sequence[Sequence[int]]) -> np.ndarray:
     rounds instead of L.  The loop stops when the generator maps
     themselves lower no label: then labels[x] <= labels[g(x)] for every
     x and g, so labels are constant along each cycle, hence on each orbit,
-    and the smallest point carries its own label.
+    and the smallest point carries its own label.  Each map is its own
+    1-D array, so a round costs one gather per map and power.
     """
     labels = np.arange(size)
-    maps = np.asarray(images, dtype=np.intp).reshape(len(images), size)
-    powers = np.take_along_axis(maps, maps, axis=1)
+    maps = [np.asarray(m, dtype=np.intp).reshape(size) for m in images]
+    powers = [m[m] for m in maps]
     while True:
-        lowered = np.minimum(labels, labels[maps].min(axis=0, initial=size))
+        lowered = labels.copy()
+        for m in maps:
+            np.minimum(lowered, labels[m], out=lowered)
         if np.array_equal(lowered, labels):
             return labels
-        labels = np.minimum(lowered, labels[powers].min(axis=0, initial=size))
-        powers = np.take_along_axis(powers, powers, axis=1)
-        labels = labels[labels]
+        for p in powers:
+            np.minimum(lowered, labels[p], out=lowered)
+        powers = [p[p] for p in powers]
+        labels = lowered[lowered]
 
 
 def orbit_count_on_tuples(

@@ -116,6 +116,18 @@ def test_vertex_counts_and_rows_must_be_ints(make, value):
         make()
 
 
+def test_built_graphs_equal_checked_ones():
+    # relabel and the enumeration's extension skip the constructor's checks;
+    # what they build must pass them and compare and hash as a checked graph
+    for g in enumerate_graphs(5):
+        for built in (g.relabel(Permutation((4, 2, 0, 3, 1))), canonical_form(g)):
+            checked = Graph(built.n, built.rows)
+            assert built == checked and hash(built) == hash(checked)
+            assert type(built.rows) is tuple
+    for g in enumerate_graphs(6):
+        assert g == Graph(g.n, g.rows)
+
+
 def test_graph_relabel():
     perm = Permutation((2, 0, 1))
     moved = PATH_3.relabel(perm)

@@ -6,6 +6,8 @@ import functools
 import itertools
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -59,26 +61,27 @@ def complete_graph(n):
     return graph(n, *itertools.combinations(range(n), 2))
 
 
+def brute_orbit_sums(spec, degree):
+    """Independent oracle: the orbits of the listed group on exponent
+    vectors, each sorted descending, sorted by descending lead."""
+    elements = group_closure(spec)
+    orbits = set()
+    for m in itertools.product(range(degree + 1), repeat=spec.n):
+        if sum(m) == degree:
+            orbit = set()
+            for g in elements:
+                moved = [0] * spec.n
+                for i, e in enumerate(m):
+                    moved[g.image[i]] = e
+                orbit.add(tuple(moved))
+            orbits.add(tuple(sorted(orbit, reverse=True)))
+    return sorted(orbits, reverse=True)
+
+
 def brute_dim(spec, degree):
     """Independent oracle: count orbits of the full group on exponent
     vectors by expanding the closure and acting directly."""
-    elements = group_closure(spec)
-    n = spec.n
-    monos = [
-        m
-        for m in itertools.product(range(degree + 1), repeat=n)
-        if sum(m) == degree
-    ]
-    orbits = set()
-    for m in monos:
-        orbit = []
-        for g in elements:
-            moved = [0] * n
-            for i, e in enumerate(m):
-                moved[g.image[i]] = e
-            orbit.append(tuple(moved))
-        orbits.add(frozenset(orbit))
-    return len(orbits)
+    return len(brute_orbit_sums(spec, degree))
 
 
 # ---------------------------------------------------------------- dimensions
@@ -153,6 +156,36 @@ def test_orbit_sums_partition_monomials():
             leads = [orbit[0] for orbit in sums]
             assert all(orbit[0] == max(orbit) for orbit in sums)
             assert leads == sorted(leads, reverse=True)
+
+
+@st.composite
+def generator_lists_with_repeats(draw):
+    """A random generating list, sometimes with the identity inserted or a
+    generator listed twice."""
+    spec = draw(small_generator_sets())
+    gens = list(spec.generators)
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), Permutation.identity(spec.n))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return PermGroupSpec(spec.n, tuple(gens))
+
+
+@given(generator_lists_with_repeats(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_orbit_sums_match_brute_orbits_random_groups(spec, degree):
+    assert monomial_orbit_sums(spec, degree) == brute_orbit_sums(spec, degree)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(), ((0, 1, 2),), ((1, 2, 0), (1, 2, 0)), ((0, 1, 2), (1, 0, 2), (0, 1, 2))],
+    ids=["none", "identity", "repeated", "identity-twice"],
+)
+def test_orbit_sums_ignore_identity_and_repeated_generators(gens):
+    spec = PermGroupSpec(3, tuple(Permutation(g) for g in gens))
+    for degree in range(5):
+        assert monomial_orbit_sums(spec, degree) == brute_orbit_sums(spec, degree)
 
 
 def test_orbit_counts_pack_no_monomials():
@@ -769,6 +802,21 @@ def test_report_json_dict():
     assert data["beta_proxy"] == 3
     assert data["new_by_degree"] == [[1, 1], [2, 1], [3, 1]]
     json.dumps(data)  # must be serializable
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only by a sweep that asks for workers
+    code = "import sys, invlayers.invariant_ring; print('multiprocessing' in sys.modules)"
+    src = str(pathlib.Path(invariant_ring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_sweep_accepts_explicit_graphs():

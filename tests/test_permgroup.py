@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from conftest import (
     brute_cyclic_group,
     brute_orbit_count,
@@ -16,6 +17,7 @@ from invlayers.combinat import gen_bell
 from invlayers.errors import BudgetError
 from invlayers.permgroup import (
     PermGroupSpec,
+    _orbit_labels,
     Permutation,
     TypedNodeSet,
     burnside_count,
@@ -219,6 +221,60 @@ def test_orbits_of_long_cycles():
     # a cycle of length L takes about log2(L) propagation rounds, not L
     assert orbit_count_on_tuples(cyclic_generators(1000), 2) == 1000
     assert vertex_orbits(cyclic_generators(500)) == [list(range(500))]
+
+
+def brute_labels(size, maps):
+    """The smallest point of each point's orbit, by graph search."""
+    labels = list(range(size))
+    for start in range(size):
+        if labels[start] == start:
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for m in maps:
+                    y = int(m[x])
+                    if labels[y] != start and y > start:
+                        labels[y] = start
+                        stack.append(y)
+    return labels
+
+
+def test_orbit_labels_with_no_maps_are_the_points():
+    assert _orbit_labels(4, []).tolist() == [0, 1, 2, 3]
+    assert _orbit_labels(3, np.empty((0, 3), dtype=int)).tolist() == [0, 1, 2]
+    assert _orbit_labels(0, []).tolist() == []
+
+
+def test_orbit_labels_read_each_row_of_a_2d_array_as_a_map():
+    maps = np.array([[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]])
+    assert _orbit_labels(5, maps).tolist() == [0, 0, 2, 2, 2]
+    assert _orbit_labels(5, maps).tolist() == _orbit_labels(5, list(maps)).tolist()
+
+
+def test_orbit_labels_on_one_long_scrambled_cycle():
+    # one 997-cycle through the points in a seeded order: its smallest point
+    # is about 500 steps from a typical point, so the minimum must travel
+    # through several rounds of squared powers
+    order = np.random.default_rng(5).permutation(997)
+    image = np.empty(997, dtype=int)
+    image[order] = np.roll(order, -1)
+    assert _orbit_labels(997, [image]).tolist() == [0] * 997
+    # the same cycle beside fixed points and a 2-cycle
+    image = np.concatenate([image, [997, 999, 998]])
+    assert _orbit_labels(1000, [image]).tolist() == [0] * 997 + [997, 998, 998]
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda size: st.lists(st.permutations(list(range(size))), max_size=3).map(
+            lambda maps: (size, maps)
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_orbit_labels_match_graph_search(case):
+    size, maps = case
+    assert _orbit_labels(size, maps).tolist() == brute_labels(size, maps)
 
 
 def test_reduce_generators_regenerates_group():
