@@ -382,7 +382,7 @@ def automorphism_group(g: Graph) -> PermGroupSpec:
     for a small generating set.
     """
     elements = sorted(_automorphism_images(g))
-    return PermGroupSpec(n=g.n, generators=tuple(map(Permutation, elements)))
+    return PermGroupSpec(n=g.n, generators=tuple(map(Permutation._trusted, elements)))
 
 
 def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:

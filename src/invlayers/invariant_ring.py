@@ -14,10 +14,12 @@ fields, the first variable most significant, each field wide enough for the
 largest degree in play.  Descending int order is then descending lex order,
 and a product of monomials is the sum of their ints, with no carries (the
 packed monomials of Monagan and Pearce, ISSAC 2009).  The monomials of a
-degree are enumerated once, as rows of exponents in a numpy array; each
-generator acts on them as a column permutation, and the orbits come from
-``permgroup._orbit_labels``, the min-label propagation kernel that also
-computes vertex and tuple orbits.
+degree are enumerated once, as rows of exponents in a numpy array.  Each
+generator's map on those rows is carried from the degree below: a row is
+x_i times a row m of degree d - 1, x_i its first variable, and g sends it
+to x_g(i) times g(m), found through index tables cached per degree.  The
+orbits come from ``permgroup._orbit_labels``, the min-label propagation
+kernel that also computes vertex and tuple orbits.
 
 Once the scan has passed degree d', the generators found so far generate
 every invariant of degree at most d'.  The span of the degree-d generator
@@ -66,6 +68,7 @@ conjectured bounds: the vertex count, and the largest automorphism orbit.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -150,37 +153,91 @@ def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
     )
 
 
-def _orbit_partition(spec: PermGroupSpec, d: int, budget: Budgets):
+def _monomial_count(n: int, d: int) -> int:
+    """The number of degree-d monomials on n variables (0 below degree 0)."""
+    if d < 0:
+        return 0
+    return math.comb(n + d - 1, d) if n else int(d == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For degree d >= 1 on n variables, the tables that build a
+    permutation's map on the ``_exponent_rows`` of degree d from its map on
+    those of degree d - 1: ``first`` and ``quot``, the first variable x_i of
+    each row and the index of the row less x_i among the degree-(d-1) rows,
+    and ``mul[j, k]``, the index of x_j times degree-(d-1) row k.  Cached
+    and read-only, in the smallest unsigned dtypes that fit; built from
+    the tables of degree d - 1, so callers go up one degree at a time.
+
+    In descending lex order the rows with first variable x_i form one
+    block, x_i times the degree-(d-1) rows free of x_0..x_(i-1), and those
+    are the last count(n - i, d - 1) rows of degree d - 1: the row with
+    first variable i and quotient k is k + offset[i].  So if degree-(d-1)
+    row k is x_i * q, x_j times it is row k + offset[j] when j <= i, and
+    otherwise x_i * (x_j * q), row offset[i] + (the row of x_j * q)."""
+    count, below = _monomial_count(n, d), _monomial_count(n, d - 1)
+    sizes = np.array([_monomial_count(n - i, d - 1) for i in range(n)], dtype=np.intp)
+    # block i ends at row sum(sizes[:i + 1]), its quotients at row below
+    offset = np.cumsum(sizes) - below
+    dtype = np.min_scalar_type(count)
+    first = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), sizes)
+    quot = (np.arange(count) - np.repeat(offset, sizes)).astype(dtype)
+    if d == 1:
+        # x_j times the constant is x_j, row j
+        mul = np.arange(n, dtype=dtype)[:, None]
+    else:
+        lower_first, lower_quot, lower_mul = _step_tables(n, d - 1)
+        mul = np.where(
+            np.arange(n)[:, None] <= lower_first,
+            offset[:, None] + np.arange(below),
+            offset[lower_first] + lower_mul[:, lower_quot],
+        ).astype(dtype)
+    for table in (first, quot, mul):
+        table.flags.writeable = False
+    return first, quot, mul
+
+
+def _orbit_partition(
+    spec: PermGroupSpec, d: int, budget: Budgets, prev: Optional[list[np.ndarray]] = None
+):
     """Partition the degree-d monomials into group orbits, refusing a
     negative degree (``ValueError``) and a degree with more monomials than
     the budget allows (``BudgetError``).
 
     Returns (orbit id per monomial, an int array in ``_exponent_rows``
-    order; the row index of each orbit's lead, ascending).  Each generator
-    g permutes the columns of the exponent rows.  The row set is closed
-    under the group, so sorting the permuted rows into descending lex order
-    (a reversed ``lexsort``) names, for each row, the row g maps onto it:
-    that is the map of g^-1, which generates the same cyclic group, so the
-    orbits are the same.  An orbit's smallest row index is its lex-max
-    member and its label, so the rows that label themselves are the leads,
-    in ascending order, and a running count of them numbers the orbits by
-    descending lead, in one pass with no sort.
+    order; the row index of each orbit's lead, ascending; each generator's
+    map on the degree-d rows, to pass as ``prev`` at degree d + 1).
+    ``prev`` holds the generators' maps at degree d - 1; without it they
+    are carried up from degree 0, where each fixes the one row.  A
+    degree-d row is x_i * m, x_i its first variable, and g sends it to
+    x_g(i) * g(m), which is looked up in ``_step_tables``, with no sort.  An
+    orbit's smallest row index is its lex-max member and its label, so the
+    rows that label themselves are the leads, in ascending order, and a
+    running count of them numbers the orbits by descending lead, in one
+    pass with no sort.
     """
     n = spec.n
     if d < 0:
         raise ValueError(f"need degree >= 0, got {d}")
-    count = math.comb(n + d - 1, d) if n > 0 else (1 if d == 0 else 0)
+    count = _monomial_count(n, d)
     if count > budget.monomials_per_degree:
         raise BudgetError(
             f"degree {d} has {count} monomials on {n} variables; "
             f"budget is {budget.monomials_per_degree}"
         )
-    rows = _exponent_rows(n, d)
-    # lexsort needs at least one key; on no variables every generator is the identity
-    gens = spec.generators if n else ()
-    labels = _orbit_labels(len(rows), (np.lexsort(rows[:, g.image[::-1]].T)[::-1] for g in gens))
-    lead = labels == np.arange(len(rows))
-    return (np.cumsum(lead) - 1)[labels], np.flatnonzero(lead)
+    images = [np.array(g.image, dtype=np.intp) for g in spec.generators]
+    degrees = (d,)
+    if prev is None:
+        prev, degrees = [np.zeros(1, dtype=np.intp) for _ in images], range(1, d + 1)
+    for e in degrees:
+        first, quot, mul = _step_tables(n, e)
+        # flat indices into mul, in intp, which take reads fastest
+        first, quot, width = first.astype(np.intp), quot.astype(np.intp), mul.shape[1]
+        prev = [np.take(mul, (image * width)[first] + p[quot]) for image, p in zip(images, prev)]
+    labels = _orbit_labels(count, prev)
+    lead = labels == np.arange(count)
+    return (np.cumsum(lead) - 1)[labels], np.flatnonzero(lead), prev
 
 
 def invariant_dim_by_degree(
@@ -197,7 +254,7 @@ def monomial_orbit_sums(
     """The orbit-sum basis of the degree-d invariants: one tuple of
     exponent vectors per orbit (lex-max member first), orbits sorted by
     descending lead."""
-    ids, firsts = _orbit_partition(spec, degree, budget)
+    ids, firsts, _ = _orbit_partition(spec, degree, budget)
     members: list[list[tuple[int, ...]]] = [[] for _ in firsts]
     # scanning in descending order sorts each member list, lead first
     for oid, row in zip(ids.tolist(), _exponent_rows(spec.n, degree).tolist()):
@@ -220,13 +277,15 @@ def _series(parts: Iterable[int], top: int) -> list[int]:
 
 def _molien_from_elements(elements: Sequence[Permutation], max_degree: int) -> tuple[int, ...]:
     """Invariant dimensions by degree from the cycle-index series
-    (1/|G|) * sum over elements of prod over cycles of 1/(1 - t^len)."""
-    total = [0] * (max_degree + 1)
-    for g in elements:
-        total = [a + b for a, b in zip(total, _series(g.cycle_lengths(), max_degree))]
+    (1/|G|) * sum over elements of prod over cycles of 1/(1 - t^len), one
+    series per cycle type, weighted by the number of elements of that
+    type."""
     order = len(elements)
     if order == 0:
         raise ValueError("empty element list")
+    total = [0] * (max_degree + 1)
+    for lengths, weight in collections.Counter(g.cycle_lengths() for g in elements).items():
+        total = [a + weight * b for a, b in zip(total, _series(lengths, max_degree))]
     for i, c in enumerate(total):
         if c % order:
             raise AssertionError(
@@ -383,9 +442,11 @@ class _RingScan:
     """Degree-by-degree minimal-generator computation for one group.
 
     ``degrees[d]`` is the one record of scanned degree d, a ``_Degree``;
-    degree 0, the constant monomial alone, is built directly.  Each
-    generator found is held as its (degree, orbit) pair, so its lead and
-    its members are read from the record of its degree."""
+    degree 0, the constant monomial alone, is built directly.  ``maps``
+    holds each group generator's map on the rows of the last degree
+    scanned, carried to the next.  Each generator found is held as its
+    (degree, orbit) pair, so its lead and its members are read from the
+    record of its degree."""
 
     def __init__(
         self,
@@ -407,6 +468,7 @@ class _RingScan:
             self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree((0,), zero, zero)]
+        self.maps = [zero for _ in spec.generators]
         self.gens: list[tuple[int, int]] = []
 
     # ---- generator x orbit-sum rows
@@ -458,7 +520,7 @@ class _RingScan:
     def _scan_degree(self, d: int) -> tuple[int, int]:
         """The invariant dimension at degree d and the number of new
         generators found there."""
-        ids, firsts = _orbit_partition(self.spec, d, self.budget)
+        ids, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
         degree = _Degree(_monomials(self.n, d, self.width), ids, firsts)
         self.degrees.append(degree)
         dim = len(firsts)

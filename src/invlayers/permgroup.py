@@ -37,6 +37,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
 
     @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
+        """A permutation whose image tuple is valid by construction, built
+        without the checks of ``__post_init__``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
@@ -109,6 +117,13 @@ class PermGroupSpec:
             if g.n != self.n:
                 raise ValueError(f"generator degree {g.n} != {self.n}")
 
+    @cached_property
+    def _vertex_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits on points, computed once per spec (``vertex_orbits``)."""
+        labels = _orbit_labels(self.n, [g.image for g in self.generators])
+        firsts = np.flatnonzero(labels == np.arange(self.n))
+        return tuple(tuple(np.flatnonzero(labels == first).tolist()) for first in firsts)
+
 
 @dataclass(frozen=True)
 class TypedNodeSet:
@@ -180,48 +195,60 @@ def translation_generators(d: int) -> PermGroupSpec:
     return PermGroupSpec(d * d, (row, col))
 
 
+def _closure(
+    candidates: Iterable[tuple[int, ...]], n: int, cap: int
+) -> tuple[set[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The image tuples of the group the candidate images generate, and the
+    candidates kept: in order, each candidate outside the group generated
+    so far is kept and the group grows breadth-first, each element found
+    multiplied on the left by every kept generator.  The old group's
+    elements need only the new generator, since the others keep them inside
+    it.  Raises ``BudgetError`` as soon as more than ``cap`` elements are
+    held."""
+    elements = {tuple(range(n))}
+    kept: list[tuple[int, ...]] = []
+    for new in candidates:
+        if new in elements:
+            continue
+        kept.append(new)
+        frontier, factors = list(elements), [new]
+        while frontier:
+            found = []
+            for x in frontier:
+                for h in factors:
+                    y = tuple(map(h.__getitem__, x))
+                    if y not in elements:
+                        elements.add(y)
+                        found.append(y)
+                        if len(elements) > cap:
+                            raise BudgetError(f"group order exceeds closure cap {cap}")
+            frontier, factors = found, kept
+    return elements, kept
+
+
 def group_closure(
     spec: PermGroupSpec, cap: int = DEFAULT_BUDGETS.closure_cap
 ) -> list[Permutation]:
-    """All group elements by breadth-first multiplication.
+    """All group elements by breadth-first multiplication, sorted by image.
 
     Always contains the identity.  Raises ``BudgetError`` as soon as more
     than ``cap`` elements have been found; the listing is never silently
     truncated.
     """
-    identity = Permutation.identity(spec.n)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for h in spec.generators:
-                prod = h * g
-                if prod not in elements:
-                    elements.add(prod)
-                    new_frontier.append(prod)
-                    if len(elements) > cap:
-                        raise BudgetError(
-                            f"group order exceeds closure cap {cap}"
-                        )
-        frontier = new_frontier
-    return sorted(elements, key=lambda g: g.image)
+    elements, _ = _closure((g.image for g in spec.generators), spec.n, cap)
+    return [Permutation._trusted(image) for image in sorted(elements)]
 
 
 def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
-    """A small generating subset of a listed group (greedy closure growth)."""
+    """A small generating subset of a listed group: scanning the elements
+    by image, keep each one the kept ones do not yet generate.  Raises
+    ``BudgetError`` when they generate more than ``len(elements)``
+    elements, as they do when the list is not a group."""
     if not elements:
         raise ValueError("empty element list")
-    n = elements[0].n
-    gens: list[Permutation] = []
-    generated = {Permutation.identity(n)}
-    for g in sorted(set(elements), key=lambda p: p.image):
-        if g not in generated:
-            gens.append(g)
-            generated = set(
-                group_closure(PermGroupSpec(n, tuple(gens)), cap=len(elements))
-            )
-    return gens
+    images = sorted({g.image for g in elements})
+    _, kept = _closure(images, elements[0].n, len(elements))
+    return [Permutation._trusted(image) for image in kept]
 
 
 def _orbit_labels(size: int, images: Iterable[Sequence[int]]) -> np.ndarray:
@@ -293,10 +320,9 @@ def burnside_count(spec: PermGroupSpec, k: int, cap: int = DEFAULT_BUDGETS.closu
 
 
 def vertex_orbits(spec: PermGroupSpec) -> list[list[int]]:
-    """Orbits of the group on points, sorted by smallest member."""
-    labels = _orbit_labels(spec.n, [g.image for g in spec.generators])
-    firsts = np.flatnonzero(labels == np.arange(spec.n))
-    return [np.flatnonzero(labels == first).tolist() for first in firsts]
+    """Orbits of the group on points, sorted by smallest member.  The spec
+    keeps them, so asking again for the same spec reruns no orbit kernel."""
+    return [list(orbit) for orbit in spec._vertex_orbits]
 
 
 def max_orbit_size(spec: PermGroupSpec) -> int:

@@ -9,12 +9,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlayers import graphs, invariant_ring
-from invlayers.budgets import Budgets
+from invlayers import graphs, invariant_ring, permgroup
+from invlayers.budgets import DEFAULT, Budgets
 from invlayers.errors import BudgetError
 from invlayers.graphs import Graph, automorphism_group, enumerate_graphs
 from invlayers.invariant_ring import (
@@ -34,6 +35,7 @@ from invlayers.permgroup import (
     PermGroupSpec,
     Permutation,
     TypedNodeSet,
+    _orbit_labels,
     cyclic_generators,
     group_closure,
     reduce_generators,
@@ -188,6 +190,72 @@ def test_orbit_sums_ignore_identity_and_repeated_generators(gens):
         assert monomial_orbit_sums(spec, degree) == brute_orbit_sums(spec, degree)
 
 
+def lexsort_orbit_partition(spec, degree):
+    """Independent oracle: the orbit partition with each generator's map
+    taken from a reversed lexsort of the permuted exponent rows (the map of
+    its inverse, which generates the same cyclic group), and the orbits
+    numbered from the lead mask."""
+    rows = invariant_ring._exponent_rows(spec.n, degree)
+    # lexsort needs at least one key; on no variables every generator is the identity
+    gens = spec.generators if spec.n else ()
+    labels = _orbit_labels(
+        len(rows), (np.lexsort(rows[:, g.image[::-1]].T)[::-1] for g in gens)
+    )
+    lead = labels == np.arange(len(rows))
+    return (np.cumsum(lead) - 1)[labels].tolist(), np.flatnonzero(lead).tolist()
+
+
+@st.composite
+def groups_on_up_to_seven_points(draw):
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(0, 3))
+    return PermGroupSpec(
+        n, tuple(Permutation(tuple(draw(st.permutations(range(n))))) for _ in range(count))
+    )
+
+
+@given(groups_on_up_to_seven_points(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_carried_maps_give_the_lexsort_orbits(spec, degree):
+    expected = lexsort_orbit_partition(spec, degree)
+    ids, firsts, maps = invariant_ring._orbit_partition(spec, degree, DEFAULT)
+    assert (ids.tolist(), firsts.tolist()) == expected
+    # carried one degree at a time, as the generator scan carries them
+    carried = [np.zeros(1, dtype=np.intp) for _ in spec.generators]
+    for d in range(1, degree + 1):
+        ids, firsts, carried = invariant_ring._orbit_partition(spec, d, DEFAULT, carried)
+        assert (ids.tolist(), firsts.tolist()) == lexsort_orbit_partition(spec, d)
+    # each map sends a row to the row of its image: g moves exponent i to g(i)
+    rows = invariant_ring._exponent_rows(spec.n, degree)
+    for g, m, c in zip(spec.generators, maps, carried):
+        moved = np.empty_like(rows)
+        moved[:, list(g.image)] = rows
+        assert np.array_equal(rows[m], moved)
+        assert np.array_equal(m, c)
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(n, d) for n in range(1, 9) for d in range(1, 5)] + [(40, 2), (100, 2), (2, 300)],
+)
+def test_step_tables_match_exponent_row_lookups(n, d):
+    rows = invariant_ring._exponent_rows(n, d).tolist()
+    lower = invariant_ring._exponent_rows(n, d - 1).tolist()
+    index = {tuple(row): r for r, row in enumerate(rows)}
+    lower_index = {tuple(row): k for k, row in enumerate(lower)}
+    first, quot, mul = invariant_ring._step_tables(n, d)
+    for table in (first, quot, mul):
+        assert table.dtype.itemsize <= 4 and not table.flags.writeable
+    assert mul.shape == (n, len(lower))
+    for r, row in enumerate(rows):
+        i = next(j for j, e in enumerate(row) if e)
+        assert first[r] == i
+        assert quot[r] == lower_index[(*row[:i], row[i] - 1, *row[i + 1 :])]
+    for k, row in enumerate(lower):
+        for j in range(n):
+            assert mul[j, k] == index[(*row[:j], row[j] + 1, *row[j + 1 :])]
+
+
 def test_orbit_counts_pack_no_monomials():
     # only the generator scan packs monomials into ints; counting and listing
     # orbits read the exponent rows
@@ -211,6 +279,16 @@ def test_orbit_counts_pack_no_monomials():
 )
 def test_molien_known_series(spec, expected):
     assert molien_hilbert_coeffs(spec, 4) == expected
+
+
+def test_molien_from_elements_refuses_empty_and_unclosed_lists():
+    with pytest.raises(ValueError, match="empty element list"):
+        invariant_ring._molien_from_elements([], 3)
+    # the identity and a 3-cycle, without its square: 3 at t^1 is odd
+    with pytest.raises(AssertionError, match="not divisible by the group order 2"):
+        invariant_ring._molien_from_elements(
+            [Permutation.identity(3), Permutation((1, 2, 0))], 3
+        )
 
 
 @pytest.mark.parametrize(
@@ -606,6 +684,18 @@ def test_check_conjectures_runs_one_canonical_search_per_graph():
     for g in (star, path, star):
         check_conjectures(g)
     assert search.cache_info().misses == 3
+
+
+def test_check_conjectures_computes_vertex_orbits_once(monkeypatch):
+    # the scan's Hilbert numerator bound reads the orbits the report lists
+    sizes = []
+    kernel = permgroup._orbit_labels
+    monkeypatch.setattr(
+        permgroup, "_orbit_labels", lambda size, maps: sizes.append(size) or kernel(size, maps)
+    )
+    report = check_conjectures(graph(4, (0, 1), (1, 2)))
+    assert report.orbit_sizes == (2, 1, 1)
+    assert sizes == [4]
 
 
 def test_vertex_transitive_verdicts_agree():

@@ -15,6 +15,7 @@ from conftest import (
 )
 from invlayers.combinat import gen_bell
 from invlayers.errors import BudgetError
+from invlayers.graphs import automorphism_group, enumerate_graphs
 from invlayers.permgroup import (
     PermGroupSpec,
     _orbit_labels,
@@ -284,6 +285,47 @@ def test_reduce_generators_regenerates_group():
     assert len(gens) <= 3
     regenerated = group_closure(PermGroupSpec(4, tuple(gens)))
     assert {g.image for g in regenerated} == {g.image for g in elements}
+
+
+def greedy_closure_generators(elements):
+    """Independent oracle: the greedy choice of ``reduce_generators``, with
+    the closure of the kept generators rebuilt from the identity by
+    validated ``Permutation`` products after each one is kept."""
+    n = elements[0].n
+    gens = []
+    generated = {Permutation.identity(n)}
+    for g in sorted(set(elements), key=lambda p: p.image):
+        if g not in generated:
+            gens.append(g)
+            generated = {Permutation.identity(n)}
+            frontier = list(generated)
+            while frontier:
+                products = {h * x for x in frontier for h in gens}
+                frontier = list(products - generated)
+                generated |= products
+    return gens
+
+
+def test_reduce_generators_matches_the_greedy_closure_on_small_graphs():
+    for n in range(1, 7):
+        for graph in enumerate_graphs(n):
+            elements = list(automorphism_group(graph).generators)
+            assert reduce_generators(elements) == greedy_closure_generators(elements)
+
+
+def test_reduce_generators_refuses_a_list_that_is_not_a_group():
+    s3 = group_closure(young_generators(TypedNodeSet((3,))))
+    with pytest.raises(BudgetError):
+        reduce_generators([Permutation.identity(3), Permutation((1, 2, 0))])
+    with pytest.raises(BudgetError):
+        reduce_generators(s3[:-1])
+    assert len(reduce_generators(s3)) == 2
+
+
+def test_closure_elements_equal_checked_permutations():
+    for g in group_closure(translation_generators(3)):
+        checked = Permutation(g.image)
+        assert g == checked and hash(g) == hash(checked)
 
 
 @st.composite
