@@ -260,6 +260,11 @@ def _cmd_dft(args, budget: Budgets) -> int:
 
     if args.check_diag:
         d = _require(args, "--d")
+        # a NaN tolerance would pass any deviation
+        if not 0 <= args.tol < float("inf"):
+            raise _UsageError(f"--tol must be a finite nonnegative number, got {args.tol}")
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         deviation = verify_diagonalization(d, trials=args.images, seed=args.seed)
         print(
             f"max diagonalization deviation {deviation:.3e} over "
@@ -387,7 +392,7 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
 
     cap_policy = _parse_cap(args.cap)
     if args.infile is not None:
-        nmax, graphs = 0, read_graph6_file(args.infile, max_n=_MAX_SWEEP_N)
+        nmax, graphs = 0, read_graph6_file(args.infile, max_n=_MAX_SWEEP_N, min_n=1)
     else:
         nmax, graphs = _require(args, "--nmax"), None
         if nmax > _MAX_SWEEP_N:

@@ -26,8 +26,10 @@ import os
 import string
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, Graph6ParseError
-from .permgroup import PermGroupSpec, Permutation, reduce_generators
+from .permgroup import PermGroupSpec, Permutation, _orbit_labels, reduce_generators
 
 __all__ = [
     "Graph",
@@ -196,11 +198,12 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_graph6_file(path, max_n: Optional[int] = None) -> list[Graph]:
+def read_graph6_file(path, max_n: Optional[int] = None, min_n: int = 0) -> list[Graph]:
     """The graphs of a graph6 file, one a line, blank lines skipped.  A
-    graph with more than ``max_n`` vertices raises ``BudgetError`` naming
-    its line.  Latin-1 maps each byte to one character, so a non-ASCII
-    byte reaches ``parse_graph6`` and is reported with its line."""
+    graph with more than ``max_n`` vertices raises ``BudgetError``, one
+    with fewer than ``min_n`` ``ValueError``, naming its line.  Latin-1
+    maps each byte to one character, so a non-ASCII byte reaches
+    ``parse_graph6`` and is reported with its line."""
     graphs = []
     with open(os.fspath(path), encoding="latin-1") as fp:
         for number, line in enumerate(fp, 1):
@@ -215,6 +218,8 @@ def read_graph6_file(path, max_n: Optional[int] = None) -> list[Graph]:
                     raise BudgetError(
                         f"line {number}: {g.n} vertices exceed the verification range cap {max_n}"
                     )
+                if g.n < min_n:
+                    raise ValueError(f"line {number}: {g.n} vertices, fewer than {min_n}")
                 graphs.append(g)
     return graphs
 
@@ -325,17 +330,13 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 def _extension_subsets(parent: Graph) -> list[int]:
     """The smallest neighbor-subset bitmask in each orbit of the parent's
-    automorphism group, ascending."""
-    images = _automorphism_images(parent)
-    seen = bytearray(1 << parent.n)
-    kept = []
-    for subset in range(1 << parent.n):
-        if not seen[subset]:
-            kept.append(subset)
-            members = [i for i in range(parent.n) if subset >> i & 1]
-            for image in images:
-                seen[sum(1 << image[i] for i in members)] = 1
-    return kept
+    automorphism group, ascending: the bitmasks that label themselves."""
+    size = 1 << parent.n
+    bits = np.arange(size)[:, None] >> np.arange(parent.n) & 1
+    # an automorphism sends the bit of vertex i to the bit of its image
+    images = np.array(_automorphism_images(parent), dtype=np.intp)
+    labels = _orbit_labels(size, (1 << images) @ bits.T)
+    return np.flatnonzero(labels == np.arange(size)).tolist()
 
 
 def _extend(parent: Graph, subset: int) -> Graph:

@@ -13,13 +13,13 @@ Every monomial is one packed int: its exponents sit in fixed-width bit
 fields, the first variable most significant, each field wide enough for the
 largest degree in play.  Descending int order is then descending lex order,
 and a product of monomials is the sum of their ints, with no carries (the
-packed monomials of Monagan and Pearce, ISSAC 2009).  The monomials of a
-degree are enumerated once, as rows of exponents in a numpy array.  Each
-generator's map on those rows is carried from the degree below: a row is
-x_i times a row m of degree d - 1, x_i its first variable, and g sends it
-to x_g(i) times g(m), found through index tables cached per degree.  The
-orbits come from ``permgroup._orbit_labels``, the min-label propagation
-kernel that also computes vertex and tuple orbits.
+packed monomials of Monagan and Pearce, ISSAC 2009).  A monomial of degree
+d is x_i times one, m, of degree d - 1, x_i its first variable, as index
+tables cached per degree record.  Its packed int is x_i's plus m's, and a
+generator g sends it to x_g(i) times g(m), so each degree's monomials and
+each generator's map on them are built from the degree below.  The orbits
+come from ``permgroup._orbit_labels``, the min-label propagation kernel
+that also computes vertex and tuple orbits.
 
 Once the scan has passed degree d', the generators found so far generate
 every invariant of degree at most d'.  The span of the degree-d generator
@@ -121,38 +121,6 @@ def _width(degree: int) -> int:
     return max(degree, 1).bit_length()
 
 
-@functools.lru_cache(maxsize=None)
-def _exponent_rows(n: int, d: int) -> np.ndarray:
-    """The exponent vectors of all degree-d monomials on n variables, one
-    row each, in descending lex order.  The array is cached, so it is
-    read-only and held in the smallest unsigned dtype that fits d.
-
-    Stars and bars: n - 1 bars among d + n - 1 slots, the exponents being
-    the gaps between them; ascending bar positions give ascending lex
-    order, so the rows are reversed."""
-    if n == 0:
-        rows = np.zeros((int(d == 0), 0), dtype=np.uint8)
-    else:
-        bars = np.array(list(itertools.combinations(range(d + n - 1), n - 1)), dtype=np.intp)
-        gaps = np.diff(bars, axis=1, prepend=-1, append=d + n - 1) - 1
-        rows = gaps[::-1].astype(np.min_scalar_type(d))
-    rows.flags.writeable = False
-    return rows
-
-
-@functools.lru_cache(maxsize=None)
-def _monomials(n: int, d: int, width: int) -> tuple[int, ...]:
-    """The packed degree-d monomials on n variables, in the order of
-    ``_exponent_rows`` (descending).  Exponents sit in fixed-width fields
-    with the first variable most significant, so descending int order is
-    descending lex order and a product of monomials is the sum of their
-    packed ints.  Python ints: the fields can exceed 64 bits."""
-    shifts = [width * (n - 1 - i) for i in range(n)]
-    return tuple(
-        sum(e << s for e, s in zip(row, shifts)) for row in _exponent_rows(n, d).tolist()
-    )
-
-
 def _monomial_count(n: int, d: int) -> int:
     """The number of degree-d monomials on n variables (0 below degree 0)."""
     if d < 0:
@@ -162,13 +130,13 @@ def _monomial_count(n: int, d: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _step_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For degree d >= 1 on n variables, the tables that build a
-    permutation's map on the ``_exponent_rows`` of degree d from its map on
-    those of degree d - 1: ``first`` and ``quot``, the first variable x_i of
-    each row and the index of the row less x_i among the degree-(d-1) rows,
-    and ``mul[j, k]``, the index of x_j times degree-(d-1) row k.  Cached
-    and read-only, in the smallest unsigned dtypes that fit; built from
-    the tables of degree d - 1, so callers go up one degree at a time.
+    """For degree d >= 1 on n variables, the tables that define the rows
+    of degree d, the monomials in descending lex order, by those of degree
+    d - 1: ``first`` and ``quot``, the first variable x_i of each row and
+    the index of the row less x_i among the degree-(d-1) rows, and
+    ``mul[j, k]``, the index of x_j times degree-(d-1) row k.  Cached and
+    read-only, in the smallest unsigned dtypes that fit; built from the
+    tables of degree d - 1, so callers go up one degree at a time.
 
     In descending lex order the rows with first variable x_i form one
     block, x_i times the degree-(d-1) rows free of x_0..x_(i-1), and those
@@ -198,6 +166,23 @@ def _step_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, quot, mul
 
 
+@functools.lru_cache(maxsize=None)
+def _monomials(n: int, d: int, width: int) -> np.ndarray:
+    """The packed degree-d monomials on n variables, in the row order of
+    ``_step_tables`` (descending): row r is x_first[r] times row quot[r] of
+    degree d - 1, so its int is the sum of theirs.  Exponents sit in
+    ``width``-bit fields, the first variable most significant.  Read-only
+    Python ints in an object array, since the fields can exceed 64 bits."""
+    if d == 0:
+        packed = np.zeros(1, dtype=object)
+    else:
+        first, quot, _ = _step_tables(n, d)
+        units = np.array([1 << width * (n - 1 - i) for i in range(n)], dtype=object)
+        packed = units[first] + _monomials(n, d - 1, width)[quot]
+    packed.flags.writeable = False
+    return packed
+
+
 def _orbit_partition(
     spec: PermGroupSpec, d: int, budget: Budgets, prev: Optional[list[np.ndarray]] = None
 ):
@@ -205,7 +190,7 @@ def _orbit_partition(
     negative degree (``ValueError``) and a degree with more monomials than
     the budget allows (``BudgetError``).
 
-    Returns (orbit id per monomial, an int array in ``_exponent_rows``
+    Returns (orbit id per monomial, an int array in ``_step_tables`` row
     order; the row index of each orbit's lead, ascending; each generator's
     map on the degree-d rows, to pass as ``prev`` at degree d + 1).
     ``prev`` holds the generators' maps at degree d - 1; without it they
@@ -255,9 +240,16 @@ def monomial_orbit_sums(
     exponent vectors per orbit (lex-max member first), orbits sorted by
     descending lead."""
     ids, firsts, _ = _orbit_partition(spec, degree, budget)
+    # row r is x_first[r] times row quot[r] of the degree below
+    rows = np.arange(len(ids))
+    exponents = np.zeros((len(ids), spec.n), dtype=np.intp)
+    for e in range(degree, 0, -1):
+        first, quot, _ = _step_tables(spec.n, e)
+        exponents[np.arange(len(ids)), first[rows]] += 1
+        rows = quot[rows]
     members: list[list[tuple[int, ...]]] = [[] for _ in firsts]
     # scanning in descending order sorts each member list, lead first
-    for oid, row in zip(ids.tolist(), _exponent_rows(spec.n, degree).tolist()):
+    for oid, row in zip(ids.tolist(), exponents.tolist()):
         members[oid].append(tuple(row))
     return [tuple(ms) for ms in members]
 
@@ -353,14 +345,14 @@ class _Degree:
     lead of each orbit; ``col``, the orbit of each lead; ``orbit_of``, the
     orbit of each monomial; and ``members``, the monomials of each orbit."""
 
-    def __init__(self, monomials: tuple[int, ...], ids: np.ndarray, firsts: np.ndarray):
+    def __init__(self, monomials: np.ndarray, ids: np.ndarray, firsts: np.ndarray):
         self.monomials = monomials
         self.ids = ids
         self.firsts = firsts
 
     @functools.cached_property
     def leads(self) -> list[int]:
-        return [self.monomials[i] for i in self.firsts.tolist()]
+        return self.monomials[self.firsts].tolist()
 
     @functools.cached_property
     def col(self) -> dict[int, int]:
@@ -368,12 +360,12 @@ class _Degree:
 
     @functools.cached_property
     def orbit_of(self) -> dict[int, int]:
-        return dict(zip(self.monomials, self.ids.tolist()))
+        return dict(zip(self.monomials.tolist(), self.ids.tolist()))
 
     @functools.cached_property
     def members(self) -> list[list[int]]:
         members: list[list[int]] = [[] for _ in self.firsts]
-        for o, m in zip(self.ids.tolist(), self.monomials):
+        for o, m in zip(self.ids.tolist(), self.monomials.tolist()):
             members[o].append(m)
         return members
 
@@ -467,7 +459,7 @@ class _RingScan:
             self.molien = _molien_from_elements(elements, cap)
             self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
         zero = np.zeros(1, dtype=np.intp)
-        self.degrees = [_Degree((0,), zero, zero)]
+        self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = [zero for _ in spec.generators]
         self.gens: list[tuple[int, int]] = []
 

@@ -4,11 +4,12 @@ exact orbit machinery.
 Three group families appear throughout: typed symmetric groups (direct
 products of symmetric groups on contiguous node blocks), the cyclic
 shift on n points, and the two-dimensional translation group acting on a
-d x d pixel grid.  Every orbit computation (on points, on k-tuples, and on
-the monomials of ``invariant_ring``) goes through one numpy kernel,
-``_orbit_labels``, which propagates the smallest point of each orbit
-along the generator maps; element listings go through breadth-first
-closure with an explicit cap that raises instead of truncating.
+d x d pixel grid.  Every orbit computation (on points, on k-tuples, on
+the vertex subsets that ``graphs`` extends, and on the monomials of
+``invariant_ring``) goes through one numpy kernel, ``_orbit_labels``,
+which propagates the smallest point of each orbit along the generator
+maps; element listings go through breadth-first closure with an explicit
+cap that raises instead of truncating.
 """
 
 from __future__ import annotations

@@ -393,6 +393,25 @@ def test_dft_check_diag_without_images_exits_one(capsys):
         assert err.startswith("error:") and "at least one image" in err
 
 
+def test_dft_check_diag_refuses_a_non_finite_or_negative_tol(capsys):
+    # a NaN tolerance compares false with any deviation, so it would pass
+    for tol in ("nan", "inf", "-inf", "-1e-9"):
+        code, out, err = run(capsys, ["dft", "--d", "4", "--check-diag", f"--tol={tol}"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --tol must be a finite nonnegative number, got {float(tol)}\n"
+    # a zero tolerance is valid: one pixel translates with no rounding
+    code, _, _ = run(capsys, ["dft", "--d", "1", "--check-diag", "--tol", "0"])
+    assert code == 0
+
+
+def test_dft_check_diag_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, ["dft", "--d", "4", "--check-diag", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
 def test_dft_check_diag_fixed_seed_is_deterministic(capsys):
     _, out1, _ = run(capsys, ["dft", "--d", "3", "--check-diag", "--seed", "7"])
     _, out2, _ = run(capsys, ["dft", "--d", "3", "--check-diag", "--seed", "7"])
@@ -792,6 +811,16 @@ def test_conjectures_names_the_line_of_a_non_ascii_byte(capsys, tmp_path):
     code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
     assert code == 1
     assert err == "error: line 2: byte 2: trailing bytes after 1 data bytes for n=4\n"
+
+
+def test_conjectures_names_the_line_of_a_graph_with_no_vertices(capsys, tmp_path):
+    # refused as the file is read, before the sweep checks the graph on line 1
+    g6 = tmp_path / "graphs.g6"
+    g6.write_text("Bw\n\n?\n")
+    code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 3: 0 vertices, fewer than 1\n"
 
 
 def test_conjectures_holds_graph6_file_to_the_vertex_cap(capsys, tmp_path):

@@ -86,6 +86,19 @@ def brute_dim(spec, degree):
     return len(brute_orbit_sums(spec, degree))
 
 
+def exponent_rows(n, d):
+    """Independent oracle: the exponent vectors of the degree-d monomials on
+    n variables, one row each, in descending lex order.  A multiset of
+    variables listed as a sorted tuple is lex-greater as an exponent vector
+    exactly when it is lex-smaller as a tuple, so
+    ``combinations_with_replacement`` lists them in this order."""
+    rows = [
+        [combo.count(i) for i in range(n)]
+        for combo in itertools.combinations_with_replacement(range(n), d)
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
 # ---------------------------------------------------------------- dimensions
 
 
@@ -195,7 +208,7 @@ def lexsort_orbit_partition(spec, degree):
     taken from a reversed lexsort of the permuted exponent rows (the map of
     its inverse, which generates the same cyclic group), and the orbits
     numbered from the lead mask."""
-    rows = invariant_ring._exponent_rows(spec.n, degree)
+    rows = exponent_rows(spec.n, degree)
     # lexsort needs at least one key; on no variables every generator is the identity
     gens = spec.generators if spec.n else ()
     labels = _orbit_labels(
@@ -226,7 +239,7 @@ def test_carried_maps_give_the_lexsort_orbits(spec, degree):
         ids, firsts, carried = invariant_ring._orbit_partition(spec, d, DEFAULT, carried)
         assert (ids.tolist(), firsts.tolist()) == lexsort_orbit_partition(spec, d)
     # each map sends a row to the row of its image: g moves exponent i to g(i)
-    rows = invariant_ring._exponent_rows(spec.n, degree)
+    rows = exponent_rows(spec.n, degree)
     for g, m, c in zip(spec.generators, maps, carried):
         moved = np.empty_like(rows)
         moved[:, list(g.image)] = rows
@@ -239,8 +252,8 @@ def test_carried_maps_give_the_lexsort_orbits(spec, degree):
     [(n, d) for n in range(1, 9) for d in range(1, 5)] + [(40, 2), (100, 2), (2, 300)],
 )
 def test_step_tables_match_exponent_row_lookups(n, d):
-    rows = invariant_ring._exponent_rows(n, d).tolist()
-    lower = invariant_ring._exponent_rows(n, d - 1).tolist()
+    rows = exponent_rows(n, d).tolist()
+    lower = exponent_rows(n, d - 1).tolist()
     index = {tuple(row): r for r, row in enumerate(rows)}
     lower_index = {tuple(row): k for k, row in enumerate(lower)}
     first, quot, mul = invariant_ring._step_tables(n, d)
@@ -254,6 +267,29 @@ def test_step_tables_match_exponent_row_lookups(n, d):
     for k, row in enumerate(lower):
         for j in range(n):
             assert mul[j, k] == index[(*row[:j], row[j] + 1, *row[j + 1 :])]
+
+
+@pytest.mark.parametrize(
+    "n,d,width",
+    [(n, d, invariant_ring._width(4)) for n in range(1, 9) for d in range(5)]
+    + [(40, 2, 2), (100, 2, 2), (2, 300, 9), (3, 4, 63)],
+)
+def test_monomials_pack_the_exponent_rows(n, d, width):
+    # each field holds one exponent, the first variable most significant;
+    # the last case has 63-bit fields, so x_1 alone is 2**126
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    expected = [sum(e << s for e, s in zip(row, shifts)) for row in exponent_rows(n, d).tolist()]
+    packed = invariant_ring._monomials(n, d, width)
+    assert packed.tolist() == expected
+    assert all(type(m) is int for m in packed.tolist())
+    assert not packed.flags.writeable
+
+
+def test_orbit_sums_on_no_points():
+    # the constant monomial is the one orbit at degree 0; above it, none
+    spec = trivial_group(0)
+    assert [monomial_orbit_sums(spec, d) for d in range(4)] == [[((),)], [], [], []]
+    assert [invariant_dim_by_degree(spec, d) for d in range(4)] == [1, 0, 0, 0]
 
 
 def test_orbit_counts_pack_no_monomials():
