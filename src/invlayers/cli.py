@@ -134,7 +134,7 @@ def _cmd_dims(args, budget: Budgets) -> int:
 
 def _cmd_basis(args, budget: Budgets) -> int:
     from .permgroup import TypedNodeSet
-    from .tensor_basis import build_full_basis
+    from .tensor_basis import _basis_document, build_full_basis
 
     k = _require(args, "--k")
     sizes = _require(args, "--sizes")
@@ -142,21 +142,10 @@ def _cmd_basis(args, budget: Budgets) -> int:
         raise BudgetError(f"--k {k} exceeds the axis cap {budget.axis_cap}")
     if len(sizes) > budget.type_cap:
         raise BudgetError(f"--sizes lists {len(sizes)} types, cap is {budget.type_cap}")
-    t = TypedNodeSet(sizes)
-    records = [
-        {
-            "axis_types": list(el.descriptor.axis_types),
-            "blocks_by_type": [list(g.rgs()) for g in el.descriptor.gammas],
-            "support": [[i + 1 for i in tup] for tup in sorted(el.tensor.support)],
-        }
-        for el in build_full_basis(k, t, budget.tuple_enumeration)
-    ]
-    _report(
-        args.out, args, budget, ["k", "sizes"],
-        n=t.n, k=k, type_sizes=list(t.type_sizes), count=len(records), elements=records,
-    )
+    doc = _basis_document(build_full_basis(k, TypedNodeSet(sizes), budget.tuple_enumeration))
+    _report(args.out, args, budget, ["k", "sizes"], **doc)
     if args.out:
-        print(f"wrote {len(records)} basis records to {args.out}")
+        print(f"wrote {doc['count']} basis records to {args.out}")
     return 0
 
 
@@ -378,9 +367,12 @@ def _parse_cap(text: str):
     if text in ("full", "2n"):
         return text
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
+        cap = -1  # refused with the negative ints
+    if cap < 0:
         raise _UsageError(f"--cap must be 'full', '2n', or a nonnegative integer, got {text!r}")
+    return cap
 
 
 _MAX_SWEEP_N = 7

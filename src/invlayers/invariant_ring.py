@@ -229,7 +229,9 @@ def invariant_dim_by_degree(
     spec: PermGroupSpec, degree: int, budget: Budgets = DEFAULT
 ) -> int:
     """Dimension of the degree-d invariant subspace: the number of orbits
-    of the group on degree-d exponent vectors."""
+    of the group on degree-d exponent vectors.  A call at degree d builds,
+    and keeps in the per-process cache, the monomial tables of every
+    degree below d."""
     return len(_orbit_partition(spec, degree, budget)[1])
 
 
@@ -238,7 +240,9 @@ def monomial_orbit_sums(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The orbit-sum basis of the degree-d invariants: one tuple of
     exponent vectors per orbit (lex-max member first), orbits sorted by
-    descending lead."""
+    descending lead.  Like ``invariant_dim_by_degree``, a call at degree
+    d builds, and keeps in the per-process cache, the monomial tables of
+    every degree below d."""
     ids, firsts, _ = _orbit_partition(spec, degree, budget)
     # row r is x_first[r] times row quot[r] of the degree below
     rows = np.arange(len(ids))

@@ -10,6 +10,10 @@ family orthogonal and makes coefficient extraction a per-support mean.
 A support is empty exactly when a type class holds fewer nodes than the
 descriptor has blocks of that type; such elements are kept (flagged) so
 the indexing stays aligned with the descriptor enumeration.
+
+A basis file has one layout, written by ``serialize_basis`` and inside
+the ``invlayers basis`` report, and read by ``load_basis``: 0-based type
+labels and 1-based node indices.
 """
 
 from __future__ import annotations
@@ -226,14 +230,13 @@ def reconstruct(coeffs: Sequence[float], basis: Sequence[BasisElement]) -> np.nd
     return out
 
 
-def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
-    """Write a basis as JSON with 1-based node indices and type labels.
+def _rows(support: frozenset[tuple[int, ...]]) -> list[list[int]]:
+    """A support as a basis file holds it: sorted rows of 1-based node indices."""
+    return [[i + 1 for i in t] for t in sorted(support)]
 
-    Layout: a header (n, k, type_sizes, count) plus one record per
-    element holding the descriptor (axis types, per-type restricted
-    growth strings) and the sorted support.  Empty supports are written
-    explicitly as empty lists.
-    """
+
+def _basis_document(basis: Sequence[BasisElement]) -> dict:
+    """The header and the records of a basis, in the ``serialize_basis`` layout."""
     if not basis:
         raise ValueError("refusing to serialize an empty basis")
     n = basis[0].tensor.n
@@ -241,24 +244,27 @@ def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
     sizes = basis[0].types.type_sizes
     if any(b.types.type_sizes != sizes or b.tensor.k != k for b in basis):
         raise ValueError("basis elements disagree on node set or tensor order")
-    records = []
-    for b in basis:
-        records.append(
-            {
-                "axis_types": [t + 1 for t in b.descriptor.axis_types],
-                "rgs": [list(g.rgs()) for g in b.descriptor.gammas],
-                "support": sorted([i + 1 for i in t] for t in b.tensor.support),
-            }
-        )
-    doc = {
-        "n": n,
-        "k": k,
-        "type_sizes": list(sizes),
-        "count": len(basis),
-        "elements": records,
-    }
+    records = [
+        {
+            "axis_types": list(b.descriptor.axis_types),
+            "blocks_by_type": [list(g.rgs()) for g in b.descriptor.gammas],
+            "support": _rows(b.tensor.support),
+        }
+        for b in basis
+    ]
+    return {"n": n, "k": k, "type_sizes": list(sizes), "count": len(basis), "elements": records}
+
+
+def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
+    """Write a basis as UTF-8 JSON: a header (n, k, type_sizes, count) and
+    one record per element with its 0-based axis type labels
+    (``axis_types``), the restricted growth string of each type's
+    partition (``blocks_by_type``) and its sorted support with 1-based
+    node indices (``support``), empty supports as empty lists.
+    ``invlayers basis`` writes the same layout inside its report."""
+    doc = _basis_document(basis)
     if isinstance(fp, str):
-        with open(fp, "w") as handle:
+        with open(fp, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=1, sort_keys=True)
             handle.write("\n")
     else:
@@ -267,15 +273,18 @@ def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
 
 
 def load_basis(fp: IO[str] | str) -> list[BasisElement]:
-    """Read a basis written by ``serialize_basis``; inverse up to identity."""
+    """Read a basis written by ``serialize_basis`` or ``invlayers basis``
+    (whose ``version`` and ``config`` keys are ignored); inverse up to identity."""
     try:
         if isinstance(fp, str):
-            with open(fp) as handle:
+            with open(fp, encoding="utf-8") as handle:
                 doc = json.load(handle)
         else:
             doc = json.load(fp)
     except json.JSONDecodeError as e:
         raise BasisFileError(f"line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise BasisFileError(f"not UTF-8: {e}") from e
     if not isinstance(doc, dict):
         raise BasisFileError("top level is not a JSON object")
     for field in ("n", "k", "type_sizes", "count", "elements"):
@@ -301,26 +310,24 @@ def load_basis(fp: IO[str] | str) -> list[BasisElement]:
     out = []
     for idx, rec in enumerate(doc["elements"]):
         try:
-            axis_types = tuple(v - 1 for v in rec["axis_types"])
+            axis_types, blocks, rows = rec["axis_types"], rec["blocks_by_type"], rec["support"]
             if len(axis_types) != k:
                 raise ValueError(f"axis_types length {len(axis_types)} != k={k}")
             gammas = []
-            for j, rgs in enumerate(rec["rgs"]):
+            for j, rgs in enumerate(blocks):
                 axes = tuple(s for s, tv in enumerate(axis_types) if tv == j)
                 gammas.append(SetPartition.from_rgs(axes, tuple(rgs)))
-            desc = ColoredPartition(axis_types, tuple(gammas))
-            support = frozenset(
-                tuple(i - 1 for i in row) for row in rec["support"]
-            )
-            tensor = SparseIndicatorTensor(n, k, support)
-            rebuilt = build_basis_element(desc, t)
+            rebuilt = build_basis_element(ColoredPartition(tuple(axis_types), tuple(gammas)), t)
+            # JSON floats and bools compare equal to ints, so the rows can
+            # match and still hold 1.0 or true
+            labels = set(map(type, itertools.chain(axis_types, *blocks, *rows)))
         except (KeyError, ValueError, TypeError) as e:
             raise BasisFileError(str(e), record=idx) from e
-        if rebuilt.tensor.support != tensor.support:
-            raise BasisFileError(
-                "support does not match its descriptor", record=idx
-            )
-        out.append(BasisElement(desc, tensor, t))
+        if rows != _rows(rebuilt.tensor.support):
+            raise BasisFileError("support does not match its descriptor", record=idx)
+        if not labels <= {int}:
+            raise BasisFileError("a type label, block label or node index is not an int", record=idx)
+        out.append(rebuilt)
     return out
 
 

@@ -198,6 +198,18 @@ def test_basis_output_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_basis_file_loads_as_the_built_basis(capsys, tmp_path):
+    from invlayers.permgroup import TypedNodeSet
+    from invlayers.tensor_basis import build_full_basis, load_basis
+
+    out_path = tmp_path / "b.json"
+    run(capsys, ["basis", "--k", "2", "--sizes", "2,1", "--out", str(out_path)])
+    expected = [(b.descriptor, b.tensor) for b in build_full_basis(2, TypedNodeSet((2, 1)))]
+    assert [(b.descriptor, b.tensor) for b in load_basis(str(out_path))] == expected
+    golden = load_basis(str(Path(__file__).parent / "data" / "cli_golden" / "basis.json"))
+    assert [(b.descriptor, b.tensor) for b in golden] == expected
+
+
 def test_basis_without_out_prints_json(capsys):
     code, out, _ = run(capsys, ["basis", "--k", "1", "--sizes", "2"])
     assert code == 0
@@ -886,7 +898,17 @@ def test_conjectures_negative_cap_exits_one(capsys):
     code, out, err = run(capsys, ["conjectures", "--nmax", "3", "--cap", "-3"])
     assert code == 1
     assert out == ""
-    assert err == "error: cap policy must be 'full', '2n', or a nonnegative integer, got -3\n"
+    assert err == "error: --cap must be 'full', '2n', or a nonnegative integer, got '-3'\n"
+
+
+def test_conjectures_refuses_a_negative_cap_before_reading_the_file(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    for path in (empty, tmp_path / "missing.g6"):
+        code, out, err = run(capsys, ["conjectures", "--in", str(path), "--cap", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cap must be 'full', '2n', or a nonnegative integer, got '-1'\n"
 
 
 def test_counterexample_exit_code_is_three():

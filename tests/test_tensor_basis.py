@@ -329,12 +329,38 @@ def _serialized_doc(sizes, k):
 
 def test_load_rejects_record_with_wrong_type_count():
     doc = _serialized_doc((2, 1), 2)
-    assert doc["elements"][1]["rgs"] == [[0, 1], []]
-    doc["elements"][1]["rgs"] = [[0, 1]]  # lists one type, the file has two
+    assert doc["elements"][1]["blocks_by_type"] == [[0, 1], []]
+    doc["elements"][1]["blocks_by_type"] = [[0, 1]]  # lists one type, the file has two
     with pytest.raises(BasisFileError) as err:
         load_basis(io.StringIO(json.dumps(doc)))
     assert err.value.record == 1
     assert "1 types, node set has 2" in str(err.value)
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(BasisFileError, match="not UTF-8"):
+        load_basis(str(path))
+
+
+@pytest.mark.parametrize(
+    "idx,field,value",
+    [
+        (0, "support", [[1.0], [2.0]]),
+        (0, "support", [[True], [2]]),
+        (1, "axis_types", [1.0]),
+        (1, "axis_types", [True]),
+        (0, "blocks_by_type", [[0.0], []]),
+        (0, "blocks_by_type", [[False], []]),
+    ],
+)
+def test_load_rejects_floats_and_bools_where_the_layout_holds_ints(idx, field, value):
+    doc = _serialized_doc((2, 1), 1)
+    doc["elements"][idx][field] = value
+    with pytest.raises(BasisFileError, match="not an int") as err:
+        load_basis(io.StringIO(json.dumps(doc)))
+    assert err.value.record == idx
 
 
 def test_load_rejects_non_object_top_level():
