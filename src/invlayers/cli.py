@@ -152,57 +152,38 @@ def _cmd_basis(args, budget: Budgets) -> int:
 # ------------------------------------------------------------- layer-apply
 
 
-def _load_json_file(path: str, flag: str):
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            return json.load(fp)
-        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-            raise ValueError(f"{flag} file {path} is not valid JSON: {exc}")
-
-
-def _float_array(value, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"{what} must hold only numbers") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} holds a non-finite number")
-    return arr
-
-
 def _cmd_layer_apply(args, budget: Budgets) -> int:
+    from .cyclic import _numbers, _read_json
     from .layers import EquivariantMap, equivariant_forward
     from .permgroup import TypedNodeSet
 
     weights_path = _require(args, "--weights")
     input_path = _require(args, "--input")
-    raw = _load_json_file(weights_path, "--weights")
-    if not isinstance(raw, dict):
-        raise ValueError("--weights file must be a JSON object")
+    where = f"--weights file {weights_path}"
+    raw = _read_json(weights_path, where)
     for field in ("type_sizes", "W", "v"):
-        if field not in raw:
-            raise ValueError(f"--weights file is missing the {field!r} field")
+        if not isinstance(raw, dict) or field not in raw:
+            raise ValueError(f"{where} is not a JSON object with a {field!r} field")
     if not isinstance(raw["type_sizes"], list):
         raise ValueError("--weights field 'type_sizes' must be a list of positive ints")
     t = TypedNodeSet(tuple(raw["type_sizes"]))
     m = t.m
-    where = f"--weights file {weights_path} field"
-    W = _float_array(raw["W"], f"{where} 'W'")
+    W = _numbers(raw["W"], f"{where} field 'W'")
     if W.size != m * m:
         raise ValueError(f"--weights field W must have m*m = {m*m} entries, got {W.size}")
     W = W.reshape(m, m)
     layer = EquivariantMap(
         types=t,
         W=W,
-        v=_float_array(raw["v"], f"{where} 'v'"),
-        c=None if raw.get("c") is None else _float_array(raw["c"], f"{where} 'c'"),
+        v=_numbers(raw["v"], f"{where} field 'v'"),
+        c=None if raw.get("c") is None else _numbers(raw["c"], f"{where} field 'c'"),
     )
-    data = _load_json_file(input_path, "--input")
+    data = _read_json(input_path, f"--input file {input_path}")
     if isinstance(data, dict):
         if "x" not in data:
             raise ValueError("--input file must be a JSON list or contain an 'x' field")
         data = data["x"]
-    x = _float_array(data, f"--input file {input_path}")
+    x = _numbers(data, f"--input file {input_path}")
     y = equivariant_forward(layer, x)
     _report(args.out, args, budget, ["weights", "input"], y=[float(v) for v in y])
     if args.out:
@@ -275,18 +256,13 @@ def _cmd_dft(args, budget: Budgets) -> int:
     out = args.out
     if out is None:
         raise _UsageError("--out is required when transforming files")
-    if args.inverse:
-        spectral = SpectralImage.load(args.infile)
-        if args.d is not None and args.d != spectral.d:
-            raise ValueError(f"--d {args.d} does not match the input side {spectral.d}")
-        spectral.idft().save(out)
-        print(f"wrote {spectral.d}x{spectral.d} image to {out}")
-    else:
-        image = GridImage.load(args.infile)
-        if args.d is not None and args.d != image.d:
-            raise ValueError(f"--d {args.d} does not match the input side {image.d}")
-        image.dft().save(out)
-        print(f"wrote {image.d}x{image.d} spectrum to {out}")
+    loaded = (SpectralImage if args.inverse else GridImage).load(args.infile)
+    d = loaded.d
+    if args.d is not None and args.d != d:
+        raise ValueError(f"--d {args.d} does not match the input side {d}")
+    result, noun = (loaded.idft(), "image") if args.inverse else (loaded.dft(), "spectrum")
+    result.save(out)
+    print(f"wrote {d}x{d} {noun} to {out}")
     return 0
 
 
@@ -322,11 +298,12 @@ def _cmd_davenport(args, budget: Budgets) -> int:
 
 
 def _cmd_decompose(args, budget: Budgets) -> int:
+    from .cyclic import _read_json
     from .zerosum import GroupSequence, decompose_invariant_monomial, is_zero_sum
 
     d = _require(args, "--d")
     path = _require(args, "--monomial")
-    raw = _load_json_file(path, "--monomial")
+    raw = _read_json(path, f"--monomial file {path}")
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 for p in raw
     ):

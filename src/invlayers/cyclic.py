@@ -116,6 +116,34 @@ def _as_square(x, dtype) -> np.ndarray:
     return arr
 
 
+def _read_json(path: str, name: str):
+    """The JSON in a UTF-8 file; ValueError "{name} is not valid JSON: ..." if not."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ValueError(f"{name} is not valid JSON: {exc}") from None
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """A finite float array from JSON-decoded values, checked entry by
+    entry, or from a float array; ValueError naming ``name`` otherwise."""
+    if not isinstance(values, np.ndarray):
+        cells = np.array(values, dtype=object)
+        kinds = {type(cell) for cell in cells.flat}
+        if list in kinds:
+            raise ValueError(f"{name} has rows of unequal length")
+        if not kinds <= {int, float}:  # a bool, a string, null or an object
+            raise ValueError(f"{name} must hold only numbers")
+        try:
+            values = cells.astype(float)
+        except OverflowError:
+            raise ValueError(f"{name} holds an int beyond float range") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a non-finite number")
+    return values
+
+
 def dft2(x) -> np.ndarray:
     """Two-dimensional plus-sign DFT: z[a, b] = sum_{i,j} x[i, j] *
     omega**(a*i + b*j) with omega = exp(2j*pi/d).  Equals d*d times the
@@ -174,30 +202,13 @@ def verify_diagonalization(d: int, trials: int = 50, seed: int = 0) -> float:
 # --------------------------------------------------------------- image I/O
 
 
-def _json_fields(path: str, *fields: str) -> list:
-    """The named fields of the JSON object in a file; ValueError naming the
-    file when it is not JSON, or the first field missing."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    for field in fields:
-        if not isinstance(data, dict) or field not in data:
-            raise ValueError(f"{path} is not a JSON object with a {field!r} field")
-    return [data[field] for field in fields]
-
-
 def _loaded(path: str, values) -> np.ndarray:
-    """A square real array read from a file; ValueError naming the file
-    when it is not one, or holds a non-finite number."""
+    """A square finite real array read from a file; ValueError naming the file if not."""
+    arr = _numbers(values, path)
     try:
-        arr = _as_square(values, float)
-    except (TypeError, ValueError) as exc:
+        return _as_square(arr, float)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path} holds a non-finite number")
-    return arr
 
 
 def _refuse_non_finite(path: str, arr: np.ndarray) -> None:
@@ -224,7 +235,10 @@ class GridImage:
         for any other suffix, from CSV (d rows of d comma-separated reals)."""
         path = os.fspath(path)
         if path.endswith(".json"):
-            (pixels,) = _json_fields(path, "pixels")
+            data = _read_json(path, path)
+            if not isinstance(data, dict) or "pixels" not in data:
+                raise ValueError(f"{path} is not a JSON object with a 'pixels' field")
+            pixels = data["pixels"]
         else:
             try:
                 with warnings.catch_warnings():
@@ -268,8 +282,14 @@ class SpectralImage:
     @classmethod
     def load(cls, path) -> "SpectralImage":
         path = os.fspath(path)
-        real, imag = _json_fields(path, "re", "im")
-        return cls(_loaded(path, real) + 1j * _loaded(path, imag))
+        data = _read_json(path, path)
+        for field in ("re", "im"):
+            if not isinstance(data, dict) or field not in data:
+                raise ValueError(f"{path} is not a JSON object with a {field!r} field")
+        real, imag = _loaded(path, data["re"]), _loaded(path, data["im"])
+        if real.shape != imag.shape:
+            raise ValueError(f"{path}: 're' has shape {real.shape} but 'im' has {imag.shape}")
+        return cls(real + 1j * imag)
 
     def save(self, path) -> None:
         path = os.fspath(path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from array import array
 from collections import Counter, defaultdict
@@ -127,7 +128,7 @@ def is_zero_sum(s: GroupSequence) -> bool:
 
 
 def _first_zero_sum(
-    d: int, elems: list[tuple[int, int]], flat: bool = True
+    d: int, elems: Iterable[tuple[int, int]], flat: bool = True
 ) -> Optional[GroupSequence]:
     """First nonempty zero-sum sub-multiset of elems, or None.
 
@@ -180,7 +181,8 @@ def find_zero_sum_subsequence(
         raise BudgetError(
             f"subset-sum search needs {s.d * s.d} states; budget is {budget.closure_cap}"
         )
-    return _first_zero_sum(s.d, s.elements()[: 2 * s.d - 1])
+    expanded = (e for e, m in s.counts for _ in range(m))
+    return _first_zero_sum(s.d, itertools.islice(expanded, 2 * s.d - 1))
 
 
 def verify_zero_sum_free(s: GroupSequence, budget: Budgets = DEFAULT) -> bool:

@@ -591,6 +591,100 @@ def test_dft_inverse_input_without_re_or_im_exits_one(capsys, tmp_path):
         assert err.startswith("error:") and field in err
 
 
+def _good_inputs():
+    """A valid file for each number-holding place in a CLI input file."""
+    return {
+        "w.json": {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0], "c": [1, 5]},
+        "x.json": [1.0, 2.0, 3.0],
+        "i.json": {"pixels": [[1, 2], [3, 4]]},
+        "s.json": {"re": [[1, 2], [3, 4]], "im": [[0, 0], [0, 0]]},
+    }
+
+
+_FORWARD = ["dft", "--in", "i.json", "--out", "out.json"]
+_INVERSE = ["dft", "--inverse", "--in", "s.json", "--out", "out.json"]
+# place: (file, field or None for the whole file, command, name in the error)
+_NUMBER_PLACES = {
+    "W": ("w.json", "W", _LAYER_APPLY, "--weights file w.json field 'W'"),
+    "v": ("w.json", "v", _LAYER_APPLY, "--weights file w.json field 'v'"),
+    "c": ("w.json", "c", _LAYER_APPLY, "--weights file w.json field 'c'"),
+    "input": ("x.json", None, _LAYER_APPLY, "--input file x.json"),
+    "pixels": ("i.json", "pixels", _FORWARD, "i.json"),
+    "re": ("s.json", "re", _INVERSE, "s.json"),
+    "im": ("s.json", "im", _INVERSE, "s.json"),
+}
+
+
+def _write_inputs(tmp_path, place=None, rows=None):
+    payloads = _good_inputs()
+    if place is not None:
+        name, field, _, _ = _NUMBER_PLACES[place]
+        if field is None:
+            payloads[name] = rows
+        else:
+            payloads[name][field] = rows
+    for name, payload in payloads.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("place", sorted(_NUMBER_PLACES))
+def test_number_places_accept_their_valid_files(capsys, tmp_path, monkeypatch, place):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    code, _, err = run(capsys, _NUMBER_PLACES[place][2])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param([["1", 0], [0, 0]], "must hold only numbers", id="string"),
+        pytest.param([[1, 0], [True, 0]], "must hold only numbers", id="bool"),
+        pytest.param([[1, 0], [0, None]], "must hold only numbers", id="null"),
+        pytest.param([[1, 0], [0]], "has rows of unequal length", id="ragged"),
+        pytest.param([[1, 10**400], [0, 0]], "holds an int beyond float range", id="huge-int"),
+    ],
+)
+@pytest.mark.parametrize("place", sorted(_NUMBER_PLACES))
+def test_input_entries_that_are_not_numbers_are_one_error_line(
+    capsys, tmp_path, monkeypatch, place, rows, message
+):
+    # JSON strings, bools and null are not numbers, even where float() or
+    # numpy would read them as one
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, place, rows)
+    code, out, err = run(capsys, _NUMBER_PLACES[place][2])
+    assert (code, out) == (1, "")
+    assert err == f"error: {_NUMBER_PLACES[place][3]} {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_input_int_beyond_float_range_prints_no_traceback(tmp_path):
+    _write_inputs(tmp_path, "input", [1.0, 10**400, 3.0])
+    proc = _run_child(tmp_path, _LAYER_APPLY)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --input file x.json holds an int beyond float range\n"
+
+
+def test_dft_inverse_refuses_re_and_im_of_different_shapes(capsys, tmp_path, monkeypatch):
+    # an im of one coefficient would broadcast over every re coefficient
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"re": [[1, 2], [3, 4]], "im": [[0.5]]}))
+    code, out, err = run(capsys, _INVERSE)
+    assert (code, out) == (1, "")
+    assert err == "error: s.json: 're' has shape (2, 2) but 'im' has (1, 1)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_dft_inverse_side_mismatch_exits_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    code, out, err = run(capsys, [*_INVERSE, "--d", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: --d 3 does not match the input side 2\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_dft_requires_a_mode(capsys):
     code, _, err = run(capsys, ["dft", "--d", "4"])
     assert code == 1

@@ -266,6 +266,16 @@ def test_spectral_image_json_pairs(tmp_path):
     assert np.max(np.abs(back.pixels - img.pixels)) <= 1e-12
 
 
+def test_loaded_float_arrays_are_taken_as_they_are():
+    # a CSV image arrives from np.loadtxt as floats and is not boxed again
+    from invlayers.cyclic import _numbers
+
+    pixels = np.arange(4.0).reshape(2, 2)
+    assert _numbers(pixels, "x.csv") is pixels
+    with pytest.raises(ValueError, match="^x.csv holds a non-finite number$"):
+        _numbers(np.array([[np.nan]]), "x.csv")
+
+
 def test_selftest_runs():
     from invlayers import cyclic
 

@@ -445,6 +445,46 @@ def test_decompose_random_soundness():
             assert total == s
 
 
+def _reference_decompose(s):
+    """decompose_invariant_monomial with the search run on the first 2d - 1
+    entries of the fully expanded ``elements()`` list every round."""
+    cap = 2 * s.d - 1
+    factors, current = [], s
+    while current.degree > cap:
+        part = zerosum._first_zero_sum(s.d, current.elements()[:cap])
+        current = current.subtract(part)
+        factors.append(part)
+    return factors + [current] if current.degree else factors
+
+
+def _seeded_zero_sum(d, degree, seed):
+    rng = random.Random(seed)
+    elems = [(rng.randrange(d), rng.randrange(d)) for _ in range(degree - 1)]
+    p = sum(a for a, _ in elems) % d
+    q = sum(b for _, b in elems) % d
+    return GroupSequence.from_elements(d, elems + [((-p) % d, (-q) % d)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [1, 7, 40, 300, 1500])
+def test_decompose_matches_the_expanded_reference(d, degree):
+    s = _seeded_zero_sum(d, degree, seed=1000 * d + degree)
+    assert decompose_invariant_monomial(s) == _reference_decompose(s)
+
+
+def test_decompose_never_expands_the_whole_multiset(monkeypatch):
+    # each round reads only the first 2d - 1 elements, so a long monomial
+    # costs time linear in its degree
+    s = _seeded_zero_sum(3, 3000, seed=7)
+    expected = _reference_decompose(s)
+
+    def refuse(self):
+        raise AssertionError("elements() expanded the whole multiset")
+
+    monkeypatch.setattr(GroupSequence, "elements", refuse)
+    assert decompose_invariant_monomial(s) == expected
+
+
 # ---------------------------------------------------- generator degree bound
 
 
