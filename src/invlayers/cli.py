@@ -138,6 +138,8 @@ def _cmd_basis(args, budget: Budgets) -> int:
 
     k = _require(args, "--k")
     sizes = _require(args, "--sizes")
+    if k < 0:
+        raise _UsageError(f"--k must be nonnegative, got {k}")
     if k > budget.axis_cap:
         raise BudgetError(f"--k {k} exceeds the axis cap {budget.axis_cap}")
     if len(sizes) > budget.type_cap:
@@ -165,12 +167,12 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
         if not isinstance(raw, dict) or field not in raw:
             raise ValueError(f"{where} is not a JSON object with a {field!r} field")
     if not isinstance(raw["type_sizes"], list):
-        raise ValueError("--weights field 'type_sizes' must be a list of positive ints")
+        raise ValueError(f"{where} field 'type_sizes' must be a list of positive ints")
     t = TypedNodeSet(tuple(raw["type_sizes"]))
     m = t.m
     W = _numbers(raw["W"], f"{where} field 'W'")
     if W.size != m * m:
-        raise ValueError(f"--weights field W must have m*m = {m*m} entries, got {W.size}")
+        raise ValueError(f"{where} field 'W' must have m*m = {m*m} entries, got {W.size}")
     W = W.reshape(m, m)
     layer = EquivariantMap(
         types=t,
@@ -178,12 +180,15 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
         v=_numbers(raw["v"], f"{where} field 'v'"),
         c=None if raw.get("c") is None else _numbers(raw["c"], f"{where} field 'c'"),
     )
-    data = _read_json(input_path, f"--input file {input_path}")
+    where = f"--input file {input_path}"
+    data = _read_json(input_path, where)
     if isinstance(data, dict):
         if "x" not in data:
-            raise ValueError("--input file must be a JSON list or contain an 'x' field")
+            raise ValueError(f"{where} must be a JSON list or contain an 'x' field")
         data = data["x"]
-    x = _numbers(data, f"--input file {input_path}")
+    x = _numbers(data, where)
+    if x.shape != (t.n,):
+        raise ValueError(f"{where} must hold a vector of {t.n} numbers, got shape {x.shape}")
     y = equivariant_forward(layer, x)
     _report(args.out, args, budget, ["weights", "input"], y=[float(v) for v in y])
     if args.out:

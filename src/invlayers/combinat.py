@@ -119,6 +119,18 @@ class ColoredPartition:
                     f"gamma {j} partitions {gamma.elements}, expected {expected}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, axis_types: tuple[int, ...], gammas: tuple[SetPartition, ...]
+    ) -> "ColoredPartition":
+        """A descriptor whose ``gammas[j]`` partitions exactly the axes of
+        type j by construction, built without the checks of
+        ``__post_init__``."""
+        desc = object.__new__(cls)
+        object.__setattr__(desc, "axis_types", axis_types)
+        object.__setattr__(desc, "gammas", gammas)
+        return desc
+
     @property
     def k(self) -> int:
         return len(self.axis_types)
@@ -250,14 +262,18 @@ def enumerate_colored_partitions(
         raise BudgetError(f"k={k} exceeds axis cap {axis_cap}")
     if m > type_cap:
         raise BudgetError(f"m={m} exceeds type cap {type_cap}")
+    # the partitions of each axis subset, built (and checked) once per call
+    partitions: dict[tuple[int, ...], list[SetPartition]] = {}
     out = []
     for assignment in itertools.product(range(m), repeat=k):
         per_type = []
         for j in range(m):
-            axes = [s for s, t in enumerate(assignment) if t == j]
-            per_type.append(list(set_partitions_of(axes)))
+            axes = tuple(s for s, t in enumerate(assignment) if t == j)
+            if axes not in partitions:
+                partitions[axes] = list(set_partitions_of(axes))
+            per_type.append(partitions[axes])
         for combo in itertools.product(*per_type):
-            out.append(ColoredPartition(assignment, combo))
+            out.append(ColoredPartition._trusted(assignment, combo))
     return out
 
 

@@ -12,6 +12,7 @@ an image multiplies each spectral coefficient by a known root of unity.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -84,18 +85,13 @@ def cyclic_basis(
             f"cyclic basis for n={n}, k={k} needs {n**k} index tuples; "
             f"budget is {budget.tuple_enumeration}"
         )
+    # shifted[off][shift] = (shift + off) % n: an orbit's tuples are the
+    # columns of the rows its offsets pick
+    shifted = [tuple(range(off, n)) + tuple(range(off)) for off in range(n)]
     basis = []
-    for flat in range(n ** (k - 1)):
-        offsets = []
-        rem = flat
-        for _ in range(k - 1):
-            rem, off = divmod(rem, n)
-            offsets.append(off)
-        offsets = tuple(reversed(offsets))
-        support = frozenset(
-            tuple((shift + off) % n for off in (0, *offsets)) for shift in range(n)
-        )
-        basis.append(SparseIndicatorTensor(n=n, k=k, support=support))
+    for offsets in itertools.product(range(n), repeat=k - 1):
+        rows = [shifted[off] for off in (0, *offsets)]
+        basis.append(SparseIndicatorTensor._trusted(n, k, frozenset(zip(*rows))))
     return basis
 
 

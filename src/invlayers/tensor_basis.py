@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, IO, Iterable, Sequence
 
@@ -47,6 +48,19 @@ class SparseIndicatorTensor:
                 raise ValueError(f"support tuple {t} is not of length {self.k}")
             if any(not 0 <= i < self.n for i in t):
                 raise ValueError(f"support tuple {t} out of range 0..{self.n - 1}")
+
+    @classmethod
+    def _trusted(
+        cls, n: int, k: int, support: frozenset[tuple[int, ...]]
+    ) -> "SparseIndicatorTensor":
+        """A tensor whose support tuples have length k and nodes in
+        ``0..n-1`` by construction, built without the checks of
+        ``__post_init__``."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "n", n)
+        object.__setattr__(tensor, "k", k)
+        object.__setattr__(tensor, "support", support)
+        return tensor
 
     @property
     def size(self) -> int:
@@ -89,19 +103,21 @@ def build_basis_element(
         est *= math.perm(t.type_sizes[j], len(block_lists[j]))
     if est > budget:
         raise BudgetError(f"support size {est} exceeds budget {budget}")
-    support: set[tuple[int, ...]] = set()
+    # one node per block, the blocks of type 0 first: axis s takes the node
+    # of its block, slot[s] in that concatenated choice
+    slot = [0] * k
+    for i, axes in enumerate(itertools.chain.from_iterable(block_lists)):
+        for axis in axes:
+            slot[axis] = i
+    # for k <= 1 the choice is the support tuple (itemgetter would return a bare node)
+    pick = operator.itemgetter(*slot) if k > 1 else tuple
     choices = [
         itertools.permutations(t.block(j), len(block_lists[j])) for j in range(t.m)
     ]
-    for combo in itertools.product(*choices):
-        axis_node = [0] * k
-        for j, nodes in enumerate(combo):
-            for node, axes in zip(nodes, block_lists[j]):
-                for axis in axes:
-                    axis_node[axis] = node
-        support.add(tuple(axis_node))
+    nodes = map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices)))
+    support = frozenset(map(pick, nodes))
     assert len(support) == est
-    return BasisElement(desc, SparseIndicatorTensor(t.n, k, frozenset(support)), t)
+    return BasisElement(desc, SparseIndicatorTensor._trusted(t.n, k, support), t)
 
 
 def build_full_basis(

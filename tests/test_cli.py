@@ -210,6 +210,13 @@ def test_basis_file_loads_as_the_built_basis(capsys, tmp_path):
     assert [(b.descriptor, b.tensor) for b in golden] == expected
 
 
+def test_basis_negative_order_names_its_flag(capsys):
+    code, out, err = run(capsys, ["basis", "--k", "-1", "--sizes", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --k must be nonnegative, got -1\n"
+
+
 def test_basis_without_out_prints_json(capsys):
     code, out, _ = run(capsys, ["basis", "--k", "1", "--sizes", "2"])
     assert code == 0
@@ -335,6 +342,47 @@ def test_layer_apply_wrongly_typed_weights_exit_one(capsys, tmp_path, payload, n
     assert code == 1
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "weights, x, message",
+    [
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0], "v": [1, 0]},
+            [1.0, 2.0, 3.0],
+            "--weights file w.json field 'W' must have m*m = 4 entries, got 3",
+        ),
+        (
+            {"type_sizes": {"a": 2}, "W": [1], "v": [1]},
+            [1.0],
+            "--weights file w.json field 'type_sizes' must be a list of positive ints",
+        ),
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0]},
+            {"y": [1.0, 2.0, 3.0]},
+            "--input file x.json must be a JSON list or contain an 'x' field",
+        ),
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0]},
+            [1.0, 2.0],
+            "--input file x.json must hold a vector of 3 numbers, got shape (2,)",
+        ),
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0]},
+            {"x": [[1.0, 2.0, 3.0]]},
+            "--input file x.json must hold a vector of 3 numbers, got shape (1, 3)",
+        ),
+    ],
+    ids=["W-entry-count", "type_sizes-not-a-list", "no-x-field", "short-vector", "nested-vector"],
+)
+def test_layer_apply_errors_name_their_file(capsys, tmp_path, monkeypatch, weights, x, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps(weights))
+    (tmp_path / "x.json").write_text(json.dumps(x))
+    code, out, err = run(capsys, ["layer-apply", "--weights", "w.json", "--input", "x.json"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -180,6 +181,32 @@ def test_enumerate_colored_partitions_structure():
     for d in descs:
         for j in range(d.num_types):
             assert d.gammas[j].elements == d.axes_of_type(j)
+
+
+def _nested_loop_colored_partitions(k, m):
+    """The enumeration as first written: each type's partitions rebuilt, and
+    each descriptor checked by its public constructor, per type assignment."""
+    out = []
+    for assignment in itertools.product(range(m), repeat=k):
+        per_type = []
+        for j in range(m):
+            axes = [s for s, t in enumerate(assignment) if t == j]
+            per_type.append(list(set_partitions_of(axes)))
+        for combo in itertools.product(*per_type):
+            out.append(ColoredPartition(assignment, combo))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", range(5))
+def test_enumerate_colored_partitions_matches_the_nested_loop(k, m):
+    got = enumerate_colored_partitions(k, m)
+    want = _nested_loop_colored_partitions(k, m)
+    assert got == want
+    assert [hash(d) for d in got] == [hash(d) for d in want]
+    for d in got:
+        assert type(d.axis_types) is tuple and type(d.gammas) is tuple
+        assert ColoredPartition(d.axis_types, d.gammas) == d
 
 
 def test_colored_partition_validation():

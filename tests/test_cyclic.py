@@ -23,6 +23,7 @@ from invlayers.permgroup import (
     orbit_count_on_tuples,
     translation_generators,
 )
+from invlayers.tensor_basis import SparseIndicatorTensor
 from tests.conftest import brute_cyclic_group, brute_orbits_on_tuples
 
 
@@ -108,6 +109,34 @@ def test_cyclic_basis_partitions_with_free_orbits(n, k):
 def test_cyclic_basis_supports_are_group_orbits(n, k):
     got = {b.support for b in cyclic_basis(n, k)}
     assert got == brute_orbits_on_tuples(brute_cyclic_group(n), n, k)
+
+
+def _digit_cyclic_basis(n, k):
+    """The construction as first written: the offsets are the base-n digits
+    of a counter, and each shifted tuple is checked by the public
+    constructor."""
+    basis = []
+    for flat in range(n ** (k - 1)):
+        offsets = []
+        rem = flat
+        for _ in range(k - 1):
+            rem, off = divmod(rem, n)
+            offsets.append(off)
+        offsets = tuple(reversed(offsets))
+        support = frozenset(
+            tuple((shift + off) % n for off in (0, *offsets)) for shift in range(n)
+        )
+        basis.append(SparseIndicatorTensor(n=n, k=k, support=support))
+    return basis
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cyclic_basis_matches_the_digit_construction(n, k):
+    got = cyclic_basis(n, k)
+    want = _digit_cyclic_basis(n, k)
+    assert got == want
+    assert [hash(b) for b in got] == [hash(b) for b in want]
 
 
 def test_cyclic_basis_fixed_by_shift():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import brute_orbits_on_tuples, brute_typed_group
-from invlayers.combinat import ColoredPartition, SetPartition, gen_bell
+from invlayers.combinat import (
+    ColoredPartition,
+    SetPartition,
+    enumerate_colored_partitions,
+    gen_bell,
+)
 from invlayers.errors import BasisFileError, BudgetError
 from invlayers.permgroup import (
     PermGroupSpec,
@@ -17,6 +22,7 @@ from invlayers.permgroup import (
     young_generators,
 )
 from invlayers.tensor_basis import (
+    SparseIndicatorTensor,
     apply_functional,
     apply_functional_fold,
     build_basis_element,
@@ -107,6 +113,51 @@ def test_supports_are_exactly_the_orbits():
         got = {b.tensor.support for b in basis if not b.is_empty}
         want = brute_orbits_on_tuples(brute_typed_group(sizes), t.n, k)
         assert got == {frozenset(o) for o in want}
+
+
+def _brute_force_grouping(k, t):
+    """Every index tuple, keyed by the descriptor read off it: the type of
+    each axis and, per type, which of its axes share a node."""
+    groups = {}
+    for idx in itertools.product(range(t.n), repeat=k):
+        axis_types = tuple(t.type_of(i) for i in idx)
+        gammas = []
+        for j in range(t.m):
+            axes = tuple(s for s in range(k) if axis_types[s] == j)
+            first_seen = {}
+            rgs = [first_seen.setdefault(idx[s], len(first_seen)) for s in axes]
+            gammas.append(SetPartition.from_rgs(axes, rgs))
+        groups.setdefault(ColoredPartition(axis_types, tuple(gammas)), set()).add(idx)
+    return groups
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2, 1), (3, 2), (2, 2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("k", range(5))
+def test_full_basis_is_the_brute_force_grouping(k, sizes):
+    t = TypedNodeSet(sizes)
+    groups = _brute_force_grouping(k, t)
+    basis = build_full_basis(k, t)
+    assert [b.descriptor for b in basis] == enumerate_colored_partitions(k, t.m)
+    for b in basis:
+        public = SparseIndicatorTensor(t.n, k, groups.pop(b.descriptor, frozenset()))
+        assert b.tensor == public
+        assert hash(b.tensor) == hash(public)
+    assert not groups
+    # a type with fewer nodes than axes leaves some pigeonhole support empty
+    assert any(b.is_empty for b in basis) == (min(sizes) < k)
+
+
+def test_sparse_tensor_refuses_a_tuple_of_the_wrong_length():
+    with pytest.raises(ValueError) as e:
+        SparseIndicatorTensor(2, 3, frozenset({(0, 1)}))
+    assert str(e.value) == "support tuple (0, 1) is not of length 3"
+
+
+@pytest.mark.parametrize("idx", [(0, 3), (-1, 0)])
+def test_sparse_tensor_refuses_a_node_out_of_range(idx):
+    with pytest.raises(ValueError) as e:
+        SparseIndicatorTensor(3, 2, frozenset({idx}))
+    assert str(e.value) == f"support tuple {idx} out of range 0..2"
 
 
 def test_order_zero_basis():
