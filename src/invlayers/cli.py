@@ -97,6 +97,8 @@ def _cmd_dims(args, budget: Budgets) -> int:
 
     m = _require(args, "--m")
     k = _require(args, "--k")
+    if m < 1:
+        raise _UsageError(f"--m must be positive, got {m}")
     for flag, value in (("--k", k), ("--d", args.d)):
         if value < 0:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
@@ -166,20 +168,20 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
     for field in ("type_sizes", "W", "v"):
         if not isinstance(raw, dict) or field not in raw:
             raise ValueError(f"{where} is not a JSON object with a {field!r} field")
-    if not isinstance(raw["type_sizes"], list):
+    if not isinstance(raw["type_sizes"], list) or not raw["type_sizes"]:
         raise ValueError(f"{where} field 'type_sizes' must be a list of positive ints")
     t = TypedNodeSet(tuple(raw["type_sizes"]))
     m = t.m
     W = _numbers(raw["W"], f"{where} field 'W'")
     if W.size != m * m:
         raise ValueError(f"{where} field 'W' must have m*m = {m*m} entries, got {W.size}")
-    W = W.reshape(m, m)
-    layer = EquivariantMap(
-        types=t,
-        W=W,
-        v=_numbers(raw["v"], f"{where} field 'v'"),
-        c=None if raw.get("c") is None else _numbers(raw["c"], f"{where} field 'c'"),
-    )
+    vectors = {}  # v, and c unless absent or null
+    for field in ["v"] if raw.get("c") is None else ["v", "c"]:
+        name = f"{where} field {field!r}"
+        vectors[field] = vec = _numbers(raw[field], name)
+        if vec.shape != (m,):
+            raise ValueError(f"{name} must hold a vector of {m} numbers, got shape {vec.shape}")
+    layer = EquivariantMap(types=t, W=W.reshape(m, m), **vectors)
     where = f"--input file {input_path}"
     data = _read_json(input_path, where)
     if isinstance(data, dict):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
-from .errors import BudgetError
+from .errors import BudgetError, _trusted
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,6 @@ class ColoredPartition:
                 raise ValueError(
                     f"gamma {j} partitions {gamma.elements}, expected {expected}"
                 )
-
-    @classmethod
-    def _trusted(
-        cls, axis_types: tuple[int, ...], gammas: tuple[SetPartition, ...]
-    ) -> "ColoredPartition":
-        """A descriptor whose ``gammas[j]`` partitions exactly the axes of
-        type j by construction, built without the checks of
-        ``__post_init__``."""
-        desc = object.__new__(cls)
-        object.__setattr__(desc, "axis_types", axis_types)
-        object.__setattr__(desc, "gammas", gammas)
-        return desc
 
     @property
     def k(self) -> int:
@@ -273,7 +261,8 @@ def enumerate_colored_partitions(
                 partitions[axes] = list(set_partitions_of(axes))
             per_type.append(partitions[axes])
         for combo in itertools.product(*per_type):
-            out.append(ColoredPartition._trusted(assignment, combo))
+            # combo[j] partitions exactly the axes of type j
+            out.append(_trusted(ColoredPartition, axis_types=assignment, gammas=combo))
     return out
 
 

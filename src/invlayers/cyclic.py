@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetError
+from .errors import BudgetError, _trusted
 from .tensor_basis import SparseIndicatorTensor
 
 __all__ = [
@@ -91,7 +91,8 @@ def cyclic_basis(
     basis = []
     for offsets in itertools.product(range(n), repeat=k - 1):
         rows = [shifted[off] for off in (0, *offsets)]
-        basis.append(SparseIndicatorTensor._trusted(n, k, frozenset(zip(*rows))))
+        # k rows of residues mod n give tuples of length k in 0..n-1
+        basis.append(_trusted(SparseIndicatorTensor, n=n, k=k, support=frozenset(zip(*rows))))
     return basis
 
 

@@ -5,6 +5,13 @@ below, which carry position information).  Computations that would blow
 past a configured cap raise :class:`BudgetError` instead of silently
 truncating; callers can retry with a larger budget or switch to a
 counting method that does not enumerate.
+
+The package's frozen value types (``Permutation``, ``Graph``,
+``ColoredPartition``, ``SparseIndicatorTensor``) have two ways in.  Their
+public constructors check every field, so input from outside the package
+goes through them.  The private :func:`_trusted` builds a value the
+package made valid by construction, without running ``__post_init__``;
+each of its call sites says why its value is valid.
 """
 
 
@@ -30,3 +37,11 @@ class BasisFileError(ValueError):
             message = f"record {record}: {message}"
         super().__init__(message)
         self.record = record
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built
+    without ``__post_init__``: only for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, Graph6ParseError
+from .errors import BudgetError, Graph6ParseError, _trusted
 from .permgroup import PermGroupSpec, Permutation, _orbit_labels, reduce_generators
 
 __all__ = [
@@ -77,15 +77,6 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at pair ({i}, {j})")
 
     @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        """A graph whose rows are valid by construction, built without the
-        checks of ``__post_init__``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
-        return g
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for i, j in edges:
@@ -125,7 +116,8 @@ class Graph:
                     a, b = perm.image[i], perm.image[j]
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-        return Graph._trusted(self.n, tuple(rows))
+        # perm moves each edge to one between distinct vertices, set both ways
+        return _trusted(Graph, n=self.n, rows=tuple(rows))
 
 
 # ------------------------------------------------------------------- graph6
@@ -344,7 +336,8 @@ def _extend(parent: Graph, subset: int) -> Graph:
     ``subset``."""
     bit = 1 << parent.n
     rows = [row | bit if subset >> i & 1 else row for i, row in enumerate(parent.rows)]
-    return Graph._trusted(parent.n + 1, (*rows, subset))
+    # the new vertex's bit is set both ways, and never on its own row
+    return _trusted(Graph, n=parent.n + 1, rows=(*rows, subset))
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,7 +376,8 @@ def automorphism_group(g: Graph) -> PermGroupSpec:
     for a small generating set.
     """
     elements = sorted(_automorphism_images(g))
-    return PermGroupSpec(n=g.n, generators=tuple(map(Permutation._trusted, elements)))
+    # each image maps one vertex order of 0..n-1 to another
+    return PermGroupSpec(n=g.n, generators=tuple(_trusted(Permutation, image=e) for e in elements))
 
 
 def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
-from .errors import BudgetError
+from .errors import BudgetError, _trusted
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
 
     @classmethod
-    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
-        """A permutation whose image tuple is valid by construction, built
-        without the checks of ``__post_init__``."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "image", image)
-        return p
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
@@ -53,6 +45,8 @@ class Permutation:
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         image = list(range(n))
         for cycle in cycles:
+            if not cycle or not all(0 <= a < n for a in cycle):
+                raise ValueError(f"cycle {tuple(cycle)} must be nonempty with points in 0..{n - 1}")
             rotated = list(cycle[1:]) + [cycle[0]]
             for a, b in zip(cycle, rotated):
                 image[a] = b
@@ -237,7 +231,8 @@ def group_closure(
     truncated.
     """
     elements, _ = _closure((g.image for g in spec.generators), spec.n, cap)
-    return [Permutation._trusted(image) for image in sorted(elements)]
+    # products of permutations of 0..n-1 are permutations of 0..n-1
+    return [_trusted(Permutation, image=image) for image in sorted(elements)]
 
 
 def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
@@ -249,7 +244,8 @@ def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
         raise ValueError("empty element list")
     images = sorted({g.image for g in elements})
     _, kept = _closure(images, elements[0].n, len(elements))
-    return [Permutation._trusted(image) for image in kept]
+    # kept images are images of the checked elements
+    return [_trusted(Permutation, image=image) for image in kept]
 
 
 def _orbit_labels(size: int, images: Iterable[Sequence[int]]) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .combinat import ColoredPartition, SetPartition, enumerate_colored_partitions, gen_bell
-from .errors import BasisFileError, BudgetError
+from .errors import BasisFileError, BudgetError, _trusted
 from .permgroup import PermGroupSpec, Permutation, TypedNodeSet
 
 
@@ -48,19 +48,6 @@ class SparseIndicatorTensor:
                 raise ValueError(f"support tuple {t} is not of length {self.k}")
             if any(not 0 <= i < self.n for i in t):
                 raise ValueError(f"support tuple {t} out of range 0..{self.n - 1}")
-
-    @classmethod
-    def _trusted(
-        cls, n: int, k: int, support: frozenset[tuple[int, ...]]
-    ) -> "SparseIndicatorTensor":
-        """A tensor whose support tuples have length k and nodes in
-        ``0..n-1`` by construction, built without the checks of
-        ``__post_init__``."""
-        tensor = object.__new__(cls)
-        object.__setattr__(tensor, "n", n)
-        object.__setattr__(tensor, "k", k)
-        object.__setattr__(tensor, "support", support)
-        return tensor
 
     @property
     def size(self) -> int:
@@ -117,7 +104,8 @@ def build_basis_element(
     nodes = map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices)))
     support = frozenset(map(pick, nodes))
     assert len(support) == est
-    return BasisElement(desc, SparseIndicatorTensor._trusted(t.n, k, support), t)
+    # every support tuple picks k nodes of t's blocks
+    return BasisElement(desc, _trusted(SparseIndicatorTensor, n=t.n, k=k, support=support), t)
 
 
 def build_full_basis(

@@ -113,10 +113,12 @@ def test_dims_sizes_length_mismatch_exits_one(capsys):
     assert "--sizes" in err
 
 
-def test_dims_invalid_m_exits_one(capsys):
-    code, _, err = run(capsys, ["dims", "--m", "0", "--k", "2"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_dims_invalid_m_exits_one(capsys, m):
+    code, out, err = run(capsys, ["dims", "--m", str(m), "--k", "2"])
     assert code == 1
-    assert err.startswith("error:")
+    assert out == ""
+    assert err == f"error: --m must be positive, got {m}\n"
 
 
 @pytest.mark.parametrize(
@@ -372,8 +374,26 @@ def test_layer_apply_wrongly_typed_weights_exit_one(capsys, tmp_path, payload, n
             {"x": [[1.0, 2.0, 3.0]]},
             "--input file x.json must hold a vector of 3 numbers, got shape (1, 3)",
         ),
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0, 0]},
+            [1.0, 2.0, 3.0],
+            "--weights file w.json field 'v' must hold a vector of 2 numbers, got shape (3,)",
+        ),
+        (
+            {"type_sizes": [2, 1], "W": [1, 0, 0, 0], "v": [1, 0], "c": [1]},
+            [1.0, 2.0, 3.0],
+            "--weights file w.json field 'c' must hold a vector of 2 numbers, got shape (1,)",
+        ),
+        (
+            {"type_sizes": [], "W": [], "v": []},
+            [],
+            "--weights file w.json field 'type_sizes' must be a list of positive ints",
+        ),
     ],
-    ids=["W-entry-count", "type_sizes-not-a-list", "no-x-field", "short-vector", "nested-vector"],
+    ids=[
+        "W-entry-count", "type_sizes-not-a-list", "no-x-field", "short-vector", "nested-vector",
+        "v-length", "c-length", "type_sizes-empty",
+    ],
 )
 def test_layer_apply_errors_name_their_file(capsys, tmp_path, monkeypatch, weights, x, message):
     monkeypatch.chdir(tmp_path)

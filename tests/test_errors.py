@@ -1,0 +1,54 @@
+"""The private ``_trusted`` constructor against the public constructors of
+the four frozen value types it builds."""
+
+import pytest
+
+from invlayers.combinat import ColoredPartition, SetPartition
+from invlayers.errors import _trusted
+from invlayers.graphs import Graph
+from invlayers.permgroup import Permutation
+from invlayers.tensor_basis import SparseIndicatorTensor
+
+# (type, valid fields, invalid fields, the public constructor's message)
+CASES = [
+    (Permutation, {"image": (2, 0, 1)}, {"image": (0, 0, 1)},
+     "not a permutation of 0..2: (0, 0, 1)"),
+    (Graph, {"n": 3, "rows": (0b110, 0b001, 0b001)}, {"n": 2, "rows": (0b10, 0b00)},
+     "adjacency not symmetric at pair (0, 1)"),
+    (ColoredPartition,
+     {"axis_types": (0, 1, 0), "gammas": (SetPartition(((0, 2),)), SetPartition(((1,),)))},
+     {"axis_types": (0, 2), "gammas": (SetPartition(((0,),)), SetPartition(((1,),)))},
+     "axis 1 has type 2 outside 0..1"),
+    (SparseIndicatorTensor,
+     {"n": 3, "k": 2, "support": frozenset({(0, 1), (2, 2)})},
+     {"n": 2, "k": 3, "support": frozenset({(0, 1)})},
+     "support tuple (0, 1) is not of length 3"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, valid, invalid, message", CASES, ids=IDS)
+def test_trusted_value_equals_the_checked_one(cls, valid, invalid, message):
+    built, checked = _trusted(cls, **valid), cls(**valid)
+    assert type(built) is cls
+    assert built == checked
+    assert hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
+
+
+@pytest.mark.parametrize("cls, valid, invalid, message", CASES, ids=IDS)
+def test_public_constructor_keeps_its_check(cls, valid, invalid, message):
+    with pytest.raises(ValueError) as e:
+        cls(**invalid)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("cls, valid, invalid, message", CASES, ids=IDS)
+def test_trusted_never_runs_post_init(monkeypatch, cls, valid, invalid, message):
+    def refuse(self):
+        raise AssertionError("__post_init__ ran")
+
+    monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="__post_init__ ran"):
+        cls(**valid)
+    assert _trusted(cls, **valid).__dict__ == valid

@@ -322,6 +322,13 @@ def test_reduce_generators_refuses_a_list_that_is_not_a_group():
     assert len(reduce_generators(s3)) == 2
 
 
+@pytest.mark.parametrize("cycle", [(), (0, 5), (-1, 0)], ids=["empty", "beyond-n", "negative"])
+def test_from_cycles_refuses_a_bad_cycle(cycle):
+    with pytest.raises(ValueError) as e:
+        Permutation.from_cycles(3, [cycle])
+    assert str(e.value) == f"cycle {cycle} must be nonempty with points in 0..2"
+
+
 def test_closure_elements_equal_checked_permutations():
     for g in group_closure(translation_generators(3)):
         checked = Permutation(g.image)
