@@ -81,11 +81,21 @@ def _report(path: Optional[str], args, budget: Budgets, keys: Sequence[str], **f
             fp.write(text)
 
 
-def _print_oracle(value: int, oracle: int, note: str = "") -> None:
-    """Print the "formula X, oracle Y" line; ValueError when they differ."""
-    print(f"formula {value}, oracle {oracle}")
-    if oracle != value:
-        raise ValueError(f"orbit count {oracle} disagrees with the formula value {value}{note}")
+def _formula_result(
+    args, budget: Budgets, keys: Sequence[str], value: int, oracle, note: str = "", **fields
+) -> int:
+    """Print the formula value, or with --oracle the "formula X, oracle Y"
+    line, refusing an oracle that differs (ValueError, the note appended);
+    then write the --out report with the named arguments and fields."""
+    if args.oracle:
+        print(f"formula {value}, oracle {oracle}")
+        if oracle != value:
+            raise ValueError(f"orbit count {oracle} disagrees with the formula value {value}{note}")
+    else:
+        print(value)
+    if args.out:
+        _report(args.out, args, budget, keys, **fields, formula=value, oracle=oracle)
+    return 0
 
 
 # ------------------------------------------------------------------- dims
@@ -108,7 +118,7 @@ def _cmd_dims(args, budget: Budgets) -> int:
     if m > budget.type_cap:
         raise BudgetError(f"--m {m} exceeds the type cap {budget.type_cap}")
     value = gen_bell(m, order)
-    oracle = None
+    oracle, note = None, ""
     if args.oracle:
         sizes = args.sizes
         if sizes is None:
@@ -117,18 +127,11 @@ def _cmd_dims(args, budget: Budgets) -> int:
             raise _UsageError(f"--sizes must list exactly m={m} sizes, got {len(sizes)}")
         spec = young_generators(TypedNodeSet(sizes))
         oracle = orbit_count_on_tuples(spec, order, budget.tuple_enumeration)
-        note = ""
         if min(sizes) < order:
             note = f"; gen_bell assumes every type holds at least k+d={order} nodes"
-        _print_oracle(value, oracle, note)
-    else:
-        print(value)
-    if args.out:
-        _report(
-            args.out, args, budget, ["m", "k", "d", "sizes", "oracle"],
-            total_order=order, formula=value, oracle=oracle,
-        )
-    return 0
+    return _formula_result(
+        args, budget, ["m", "k", "d", "sizes", "oracle"], value, oracle, note, total_order=order
+    )
 
 
 # ------------------------------------------------------------------ basis
@@ -168,9 +171,13 @@ def _cmd_layer_apply(args, budget: Budgets) -> int:
     for field in ("type_sizes", "W", "v"):
         if not isinstance(raw, dict) or field not in raw:
             raise ValueError(f"{where} is not a JSON object with a {field!r} field")
-    if not isinstance(raw["type_sizes"], list) or not raw["type_sizes"]:
+    sizes = raw["type_sizes"]
+    # a bool or a non-int is left to TypedNodeSet, whose message names it
+    if not isinstance(sizes, list) or not sizes or any(
+        isinstance(s, int) and not isinstance(s, bool) and s < 1 for s in sizes
+    ):
         raise ValueError(f"{where} field 'type_sizes' must be a list of positive ints")
-    t = TypedNodeSet(tuple(raw["type_sizes"]))
+    t = TypedNodeSet(tuple(sizes))
     m = t.m
     W = _numbers(raw["W"], f"{where} field 'W'")
     if W.size != m * m:
@@ -218,15 +225,8 @@ def _cmd_cyclic_dims(args, budget: Budgets) -> int:
     else:
         value = translation_invariant_dim(args.d, k)
         spec = translation_generators(args.d) if args.oracle else None
-    oracle = None
-    if args.oracle:
-        oracle = orbit_count_on_tuples(spec, k, budget.tuple_enumeration)
-        _print_oracle(value, oracle)
-    else:
-        print(value)
-    if args.out:
-        _report(args.out, args, budget, ["n", "d", "k", "oracle"], formula=value, oracle=oracle)
-    return 0
+    oracle = orbit_count_on_tuples(spec, k, budget.tuple_enumeration) if args.oracle else None
+    return _formula_result(args, budget, ["n", "d", "k", "oracle"], value, oracle)
 
 
 # -------------------------------------------------------------------- dft
@@ -248,11 +248,7 @@ def _cmd_dft(args, budget: Budgets) -> int:
             f"{args.images} images, all {d * d} translations"
         )
         if deviation > args.tol:
-            print(
-                f"error: deviation {deviation:.3e} exceeds --tol {args.tol:.1e}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(f"deviation {deviation:.3e} exceeds --tol {args.tol:.1e}")
         if args.out:
             _report(
                 args.out, args, budget, ["d", "images", "seed", "tol"], max_deviation=deviation

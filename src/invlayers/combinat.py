@@ -140,13 +140,11 @@ def stirling2(k: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _stirling_row(k: int) -> tuple[int, ...]:
-    if k == 0:
-        return (1,)
-    prev = _stirling_row(k - 1)
-    row = [0] * (k + 1)
-    for j in range(1, k + 1):
-        row[j] = j * prev[j] if j < k else 0
-        row[j] += prev[j - 1]
+    """The Stirling numbers S(k, 0..k), built up one row at a time from
+    S(0, 0) = 1 by S(i, j) = j S(i - 1, j) + S(i - 1, j - 1)."""
+    row = [1]
+    for i in range(1, k + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
     return tuple(row)
 
 

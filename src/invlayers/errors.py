@@ -41,7 +41,10 @@ class BasisFileError(ValueError):
 
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, built
-    without ``__post_init__``: only for values valid by construction."""
+    without ``__post_init__``: only for values valid by construction.  Each
+    field is set as the public constructor sets it, which keeps the
+    instance's compact attribute layout."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj

@@ -594,34 +594,19 @@ def generator_degrees(
     elements: Optional[Sequence[Permutation]] = None,
 ) -> GeneratorDegreeResult:
     """Count new minimal generators of the invariant ring at each degree
-    up to the cap.
+    up to the cap.  Every group, the trivial one included, runs the same
+    degree-by-degree scan, and every budget overrun stops it: an overrun
+    at degree d gives ``verified_up_to == d - 1``.
 
     ``arithmetic`` selects "exact" integer elimination or the "modular"
     one-prime fast path (a degree that falls short of full rank mod p is
     eliminated again exactly, and only that exact pass names new
     generators).  When ``elements`` lists the full group, every invariant
-    dimension is cross-checked against the cycle-index series.  A budget
-    overrun at degree d stops the scan with ``verified_up_to == d - 1``.
-    """
+    dimension is cross-checked against the cycle-index series."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:
         raise ValueError(f"need degree_cap >= 0, got {degree_cap}")
-    n = spec.n
-    identity = tuple(range(n))
-    if all(g.image == identity for g in spec.generators):
-        # trivial group: the variables generate, every higher-degree
-        # monomial being a product of them
-        new = ((1, n),) if degree_cap >= 1 and n >= 1 else ()
-        return GeneratorDegreeResult(
-            n=n,
-            cap=degree_cap,
-            verified_up_to=degree_cap,
-            new_by_degree=new,
-            max_generator_degree=1 if new else 0,
-            dims=tuple(math.comb(n + d - 1, d) for d in range(1, degree_cap + 1)),
-            arithmetic=arithmetic,
-        )
     return _RingScan(spec, degree_cap, budget, arithmetic, elements).run()
 
 

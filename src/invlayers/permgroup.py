@@ -45,7 +45,9 @@ class Permutation:
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         image = list(range(n))
         for cycle in cycles:
-            if not cycle or not all(0 <= a < n for a in cycle):
+            if not cycle or not all(
+                isinstance(a, int) and not isinstance(a, bool) and 0 <= a < n for a in cycle
+            ):
                 raise ValueError(f"cycle {tuple(cycle)} must be nonempty with points in 0..{n - 1}")
             rotated = list(cycle[1:]) + [cycle[0]]
             for a, b in zip(cycle, rotated):

@@ -21,6 +21,7 @@ import pytest
 import invlayers
 from invlayers.budgets import Budgets
 from invlayers.cli import main
+from invlayers.combinat import gen_bell
 from invlayers.zerosum import GroupSequence, is_zero_sum
 
 
@@ -146,6 +147,20 @@ def test_dims_order_beyond_cap_exits_two(capsys):
     code, _, err = run(capsys, ["dims", "--m", "2", "--k", "99"])
     assert code == 2
     assert "budget" in err or "cap" in err
+
+
+def test_dims_high_order_in_a_fresh_process():
+    # a fresh process holds no cached Stirling rows, so row 600 is built whole
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlayers", "dims", "--m", "2", "--k", "600"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**_child_env(), "INVLAYERS_AXIS_CAP": "600"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == f"{gen_bell(2, 600)}\n"
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -395,10 +410,15 @@ def test_layer_apply_wrongly_typed_weights_exit_one(capsys, tmp_path, payload, n
             [],
             "--weights file w.json field 'type_sizes' must be a list of positive ints",
         ),
+        (
+            {"type_sizes": [0, 2], "W": [1, 0, 0, 0], "v": [1, 0]},
+            [1.0, 2.0],
+            "--weights file w.json field 'type_sizes' must be a list of positive ints",
+        ),
     ],
     ids=[
         "W-entry-count", "type_sizes-not-a-list", "no-x-field", "short-vector", "nested-vector",
-        "v-length", "c-length", "type_sizes-empty",
+        "v-length", "c-length", "type_sizes-empty", "type_sizes-zero",
     ],
 )
 def test_layer_apply_errors_name_their_file(capsys, tmp_path, monkeypatch, weights, x, message):
@@ -489,6 +509,18 @@ def test_dft_check_diag_refuses_a_non_finite_or_negative_tol(capsys):
     # a zero tolerance is valid: one pixel translates with no rounding
     code, _, _ = run(capsys, ["dft", "--d", "1", "--check-diag", "--tol", "0"])
     assert code == 0
+
+
+def test_dft_check_diag_deviation_above_tol_exits_one(capsys, tmp_path):
+    # four pixels translate with rounding, so no deviation is within --tol 0
+    out = tmp_path / "diag.json"
+    argv = ["dft", "--d", "4", "--check-diag", "--tol", "0", "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1
+    assert stdout.startswith("max diagonalization deviation ")
+    assert err.count("\n") == 1
+    assert err.startswith("error: deviation ") and err.endswith(" exceeds --tol 0.0e+00\n")
+    assert not out.exists()
 
 
 def test_dft_check_diag_refuses_a_negative_seed(capsys):

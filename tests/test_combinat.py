@@ -9,6 +9,7 @@ from conftest import brute_set_partitions
 from invlayers.combinat import (
     ColoredPartition,
     SetPartition,
+    _stirling_row,
     bell,
     egf_power_coeffs,
     enumerate_colored_partitions,
@@ -36,6 +37,16 @@ def test_stirling2_against_brute_force():
         parts = brute_set_partitions(range(k))
         for j in range(k + 2):
             assert stirling2(k, j) == sum(1 for p in parts if len(p) == j)
+
+
+def test_stirling2_large_row_without_recursion():
+    # with the cache empty, row 2000 is built from row 0 in one call
+    _stirling_row.cache_clear()
+    try:
+        assert stirling2(2000, 2) == 2**1999 - 1
+        assert stirling2(2000, 1999) == math.comb(2000, 2)
+    finally:
+        _stirling_row.cache_clear()
 
 
 def test_stirling2_out_of_range():

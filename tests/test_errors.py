@@ -1,6 +1,8 @@
 """The private ``_trusted`` constructor against the public constructors of
 the four frozen value types it builds."""
 
+import tracemalloc
+
 import pytest
 
 from invlayers.combinat import ColoredPartition, SetPartition
@@ -52,3 +54,21 @@ def test_trusted_never_runs_post_init(monkeypatch, cls, valid, invalid, message)
     with pytest.raises(AssertionError, match="__post_init__ ran"):
         cls(**valid)
     assert _trusted(cls, **valid).__dict__ == valid
+
+
+def _traced_bytes(make, count=10_000) -> int:
+    """Traced memory held by count values from make(), kept alive together."""
+    tracemalloc.start()
+    try:
+        kept = [make() for _ in range(count)]
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trusted_values_are_no_larger_than_checked_ones():
+    # a value built without its constructor keeps the same compact layout
+    for cls, valid, invalid, message in CASES:
+        trusted = _traced_bytes(lambda: _trusted(cls, **valid))
+        checked = _traced_bytes(lambda: cls(**valid))
+        assert trusted <= 1.1 * checked, (cls.__name__, trusted, checked)

@@ -5,6 +5,7 @@ import fractions
 import functools
 import itertools
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -372,6 +373,34 @@ def test_generators_trivial_group():
     assert res.new_by_degree == ((1, 3),)
     assert res.max_generator_degree == 1
     assert res.verified_up_to == 5
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
+@pytest.mark.parametrize("n", range(6))
+def test_trivial_group_scan_equals_the_closed_form(n, arithmetic):
+    # the n variables generate: every higher monomial is a product of them
+    for spec in (trivial_group(n), PermGroupSpec(n, (Permutation.identity(n),))):
+        for cap in range(9):
+            new = ((1, n),) if cap and n else ()
+            expected = invariant_ring.GeneratorDegreeResult(
+                n=n,
+                cap=cap,
+                verified_up_to=cap,
+                new_by_degree=new,
+                max_generator_degree=len(new),
+                dims=tuple(math.comb(n + d - 1, d) for d in range(1, cap + 1)),
+                arithmetic=arithmetic,
+            )
+            for elements in (None, group_closure(spec)):
+                res = generator_degrees(spec, cap, arithmetic=arithmetic, elements=elements)
+                assert res == expected
+
+
+def test_trivial_group_scan_stops_at_the_budget():
+    # degree 2 has 6 monomials on 3 variables, beyond the tiny budget
+    res = generator_degrees(trivial_group(3), 5, budget=Budgets(monomials_per_degree=5))
+    assert res.verified_up_to == 1
+    assert res.new_by_degree == ((1, 3),) and res.dims == (3,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

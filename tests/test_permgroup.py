@@ -322,7 +322,11 @@ def test_reduce_generators_refuses_a_list_that_is_not_a_group():
     assert len(reduce_generators(s3)) == 2
 
 
-@pytest.mark.parametrize("cycle", [(), (0, 5), (-1, 0)], ids=["empty", "beyond-n", "negative"])
+@pytest.mark.parametrize(
+    "cycle",
+    [(), (0, 5), (-1, 0), (0, 1.0), (0, True)],
+    ids=["empty", "beyond-n", "negative", "float", "bool"],
+)
 def test_from_cycles_refuses_a_bad_cycle(cycle):
     with pytest.raises(ValueError) as e:
         Permutation.from_cycles(3, [cycle])
