@@ -60,14 +60,20 @@ def _require(args, flag: str):
     return value
 
 
+def _require_positive(args, flag: str) -> int:
+    value = _require(args, flag)
+    if value < 1:
+        raise _UsageError(f"{flag} must be positive, got {value}")
+    return value
+
+
 def _report(path: Optional[str], args, budget: Budgets, keys: Sequence[str], **fields) -> None:
     """Write a JSON report to path, or to stdout when path is None: the tool
     version, the resolved config (subcommand, the named arguments, the
     budget) and the result fields."""
     config = {"subcommand": args.cmd}
     for key in keys:
-        value = getattr(args, key)
-        config[key] = list(value) if isinstance(value, tuple) else value
+        config[key] = getattr(args, key)
     config["budget"] = dataclasses.asdict(budget)
     payload = {"version": __version__, "config": config, **fields}
     try:
@@ -105,10 +111,8 @@ def _cmd_dims(args, budget: Budgets) -> int:
     from .combinat import gen_bell
     from .permgroup import TypedNodeSet, orbit_count_on_tuples, young_generators
 
-    m = _require(args, "--m")
+    m = _require_positive(args, "--m")
     k = _require(args, "--k")
-    if m < 1:
-        raise _UsageError(f"--m must be positive, got {m}")
     for flag, value in (("--k", k), ("--d", args.d)):
         if value < 0:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
@@ -216,14 +220,14 @@ def _cmd_cyclic_dims(args, budget: Budgets) -> int:
         translation_generators,
     )
 
-    k = _require(args, "--k")
+    k = _require_positive(args, "--k")
     if (args.n is None) == (args.d is None):
         raise _UsageError("exactly one of --n (shift group) and --d (grid side) is required")
     if args.n is not None:
-        value = cyclic_invariant_dim(args.n, k)
+        value = cyclic_invariant_dim(_require_positive(args, "--n"), k)
         spec = cyclic_generators(args.n) if args.oracle else None
     else:
-        value = translation_invariant_dim(args.d, k)
+        value = translation_invariant_dim(_require_positive(args, "--d"), k)
         spec = translation_generators(args.d) if args.oracle else None
     oracle = orbit_count_on_tuples(spec, k, budget.tuple_enumeration) if args.oracle else None
     return _formula_result(args, budget, ["n", "d", "k", "oracle"], value, oracle)
@@ -236,7 +240,7 @@ def _cmd_dft(args, budget: Budgets) -> int:
     from .cyclic import GridImage, SpectralImage, verify_diagonalization
 
     if args.check_diag:
-        d = _require(args, "--d")
+        d = _require_positive(args, "--d")
         # a NaN tolerance would pass any deviation
         if not 0 <= args.tol < float("inf"):
             raise _UsageError(f"--tol must be a finite nonnegative number, got {args.tol}")
@@ -275,7 +279,7 @@ def _cmd_dft(args, budget: Budgets) -> int:
 def _cmd_davenport(args, budget: Budgets) -> int:
     from .zerosum import davenport_constant
 
-    d = _require(args, "--d")
+    d = _require_positive(args, "--d")
     result = davenport_constant(d, budget)
     print(
         f"D={result.constant}, zero-sum-free witness length {result.witness.degree}"
@@ -304,18 +308,20 @@ def _cmd_decompose(args, budget: Budgets) -> int:
     from .cyclic import _read_json
     from .zerosum import GroupSequence, decompose_invariant_monomial, is_zero_sum
 
-    d = _require(args, "--d")
+    d = _require_positive(args, "--d")
     path = _require(args, "--monomial")
-    raw = _read_json(path, f"--monomial file {path}")
+    where = f"--monomial file {path}"
+    raw = _read_json(path, where)
     if not isinstance(raw, list) or any(
         not isinstance(p, list) or len(p) != 2 for p in raw
     ):
-        raise ValueError("--monomial file must be a JSON list of [a, b] pairs")
-    seq = GroupSequence.from_elements(d, [tuple(p) for p in raw])
+        raise ValueError(f"{where} must be a JSON list of [a, b] pairs")
+    try:
+        seq = GroupSequence.from_elements(d, [tuple(p) for p in raw])
+    except ValueError as exc:  # a pair that is not two ints below --d
+        raise ValueError(f"{where}: {exc}") from None
     if not is_zero_sum(seq):
-        raise ValueError(
-            f"--monomial is not zero-sum: exponents sum to {seq.sum_mod()} mod {d}"
-        )
+        raise ValueError(f"{where} is not zero-sum: exponents sum to {seq.sum_mod()} mod {d}")
     factors = decompose_invariant_monomial(seq, budget)
     max_degree = max((f.degree for f in factors), default=0)
     print(

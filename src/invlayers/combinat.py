@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import BudgetError, _trusted
@@ -150,9 +150,7 @@ def _stirling_row(k: int) -> tuple[int, ...]:
 
 def bell(k: int) -> int:
     """Number of set partitions of a k-set (dimension count for one type)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return sum(_stirling_row(k))
+    return gen_bell(1, k)
 
 
 def gen_bell(m: int, k: int) -> int:

@@ -14,10 +14,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import os
 import warnings
-from typing import Iterable
 
 import numpy as np
 
@@ -108,7 +106,7 @@ def _phase_matrix(d: int) -> np.ndarray:
 
 def _as_square(x, dtype) -> np.ndarray:
     arr = np.asarray(x, dtype=dtype)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"expected a square d x d array, got shape {arr.shape}")
     return arr
 
@@ -155,8 +153,6 @@ def idft2(z) -> np.ndarray:
     only if the source was known to be real)."""
     arr = _as_square(z, complex)
     d = arr.shape[0]
-    if d == 0:
-        return arr
     Fc = np.conj(_phase_matrix(d))
     return (Fc @ arr @ Fc.T) / (d * d)
 

@@ -24,7 +24,7 @@ import dataclasses
 import functools
 import os
 import string
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 

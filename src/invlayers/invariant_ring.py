@@ -122,9 +122,7 @@ def _width(degree: int) -> int:
 
 
 def _monomial_count(n: int, d: int) -> int:
-    """The number of degree-d monomials on n variables (0 below degree 0)."""
-    if d < 0:
-        return 0
+    """The number of degree-d monomials on n variables, d >= 0."""
     return math.comb(n + d - 1, d) if n else int(d == 0)
 
 
@@ -769,12 +767,14 @@ def sweep(
     check = functools.partial(
         check_conjectures, cap_policy=cap_policy, arithmetic=arithmetic, budget=budget
     )
-    if jobs is None or jobs == 1:
+    # a pool starts all its workers at the first submit: no more than one per graph
+    workers = min(jobs or 1, len(graphs))
+    if workers <= 1:
         reports = list(map(check, graphs))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(check, graphs))
     reports.sort(key=lambda r: (r.n, r.graph6))
     return SweepResult(reports=tuple(reports), summary=_summarize(reports))

@@ -10,7 +10,7 @@ output is unchanged under every typed permutation of its input rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -22,8 +22,9 @@ import itertools
 import json
 import math
 import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Sequence
+from typing import Callable, IO, Sequence
 
 import numpy as np
 
@@ -42,7 +43,9 @@ class SparseIndicatorTensor:
     support: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(map(tuple, self.support)))
+        # a frozenset of plain tuples is kept, so values can share one support
+        if type(self.support) is not frozenset or any(type(t) is not tuple for t in self.support):
+            object.__setattr__(self, "support", frozenset(map(tuple, self.support)))
         for t in self.support:
             if len(t) != self.k:
                 raise ValueError(f"support tuple {t} is not of length {self.k}")
@@ -154,8 +157,6 @@ def apply_functional(b: BasisElement, x: np.ndarray) -> float:
         )
     if tensor.size == 0:
         return 0.0
-    if tensor.k == 0:
-        return float(x)
     cols = tuple(np.array(c) for c in zip(*sorted(tensor.support)))
     return float(x[cols].sum())
 
@@ -266,25 +267,17 @@ def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
     partition (``blocks_by_type``) and its sorted support with 1-based
     node indices (``support``), empty supports as empty lists.
     ``invlayers basis`` writes the same layout inside its report."""
-    doc = _basis_document(basis)
-    if isinstance(fp, str):
-        with open(fp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-    else:
-        json.dump(doc, fp, indent=1, sort_keys=True)
-        fp.write("\n")
+    text = json.dumps(_basis_document(basis), indent=1, sort_keys=True) + "\n"
+    with open(fp, "w", encoding="utf-8") if isinstance(fp, str) else nullcontext(fp) as handle:
+        handle.write(text)
 
 
 def load_basis(fp: IO[str] | str) -> list[BasisElement]:
     """Read a basis written by ``serialize_basis`` or ``invlayers basis``
     (whose ``version`` and ``config`` keys are ignored); inverse up to identity."""
     try:
-        if isinstance(fp, str):
-            with open(fp, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        else:
-            doc = json.load(fp)
+        with open(fp, encoding="utf-8") if isinstance(fp, str) else nullcontext(fp) as handle:
+            doc = json.load(handle)
     except json.JSONDecodeError as e:
         raise BasisFileError(f"line {e.lineno}: {e.msg}") from e
     except UnicodeDecodeError as e:

@@ -523,6 +523,18 @@ def test_dft_check_diag_deviation_above_tol_exits_one(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_dft_check_diag_writes_its_report(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    code, _, _ = run(capsys, ["dft", "--d", "3", "--check-diag", "--out", str(path)])
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert 0 <= report["max_deviation"] <= 1e-9
+    config = report["config"]
+    assert {key: config[key] for key in ("d", "images", "seed", "tol")} == {
+        "d": 3, "images": 50, "seed": 0, "tol": 1e-9,
+    }
+
+
 def test_dft_check_diag_refuses_a_negative_seed(capsys):
     code, out, err = run(capsys, ["dft", "--d", "4", "--check-diag", "--seed", "-1"])
     assert code == 1
@@ -913,6 +925,42 @@ def test_decompose_rejects_boolean_entries(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, monomial, message",
+    [
+        (["decompose", "--d", "3"], [[1, "a"], [0, 0]],
+         "--monomial file m.json: element (1, 'a') is not an integer pair"),
+        (["decompose", "--d", "3"], [[5, 0], [1, 0]],
+         "--monomial file m.json: element (5, 0) out of range for modulus 3"),
+        (["decompose", "--d", "3"], {"pairs": []},
+         "--monomial file m.json must be a JSON list of [a, b] pairs"),
+        (["decompose", "--d", "3"], [[1, 0]],
+         "--monomial file m.json is not zero-sum: exponents sum to (1, 0) mod 3"),
+        # --d is checked before the file is read
+        (["decompose", "--d", "0"], None, "--d must be positive, got 0"),
+        (["davenport", "--d", "0"], None, "--d must be positive, got 0"),
+        (["cyclic-dims", "--n", "0", "--k", "2"], None, "--n must be positive, got 0"),
+        (["cyclic-dims", "--n", "3", "--k", "0"], None, "--k must be positive, got 0"),
+        (["cyclic-dims", "--d", "-2", "--k", "2"], None, "--d must be positive, got -2"),
+        (["dft", "--d", "0", "--check-diag"], None, "--d must be positive, got 0"),
+    ],
+    ids=[
+        "not-an-int", "out-of-range", "not-a-list", "not-zero-sum", "decompose-d",
+        "davenport-d", "cyclic-n", "cyclic-k", "cyclic-d", "dft-d",
+    ],
+)
+def test_errors_name_their_flag_or_file(capsys, tmp_path, monkeypatch, argv, monomial, message):
+    monkeypatch.chdir(tmp_path)
+    if monomial is not None:
+        (tmp_path / "m.json").write_text(json.dumps(monomial))
+    if argv[0] == "decompose":
+        argv = argv + ["--monomial", "m.json"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ------------------------------------------------------------- conjectures
 
 
@@ -1055,6 +1103,17 @@ def test_conjectures_cap_full_matches_default_for_small_n(capsys):
     _, out_default, _ = run(capsys, ["conjectures", "--nmax", "3"])
     _, out_full, _ = run(capsys, ["conjectures", "--nmax", "3", "--cap", "full"])
     assert out_default == out_full  # 2n >= full certification cap for n <= 3
+
+
+def test_conjectures_integer_cap_certifies_up_to_its_degree(capsys):
+    code, out, _ = run(capsys, ["conjectures", "--nmax", "4", "--cap", "3"])
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 18
+    for row in rows:
+        small = int(row["n"]) <= 3
+        assert row["verified_up_to"] == (row["n"] if small else "3")
+        assert row["A"] == row["B"] == ("true" if small else "capped")
 
 
 def test_conjectures_deterministic_output(capsys):

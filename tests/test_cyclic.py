@@ -205,6 +205,18 @@ def test_dft_requires_square():
         dft2(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [dft2, idft2, lambda x: translate(x, 1, 0), GridImage, SpectralImage],
+    ids=["dft2", "idft2", "translate", "GridImage", "SpectralImage"],
+)
+def test_empty_image_is_refused_everywhere(make):
+    # dft2 divided by zero on it while idft2 returned it
+    with pytest.raises(ValueError) as e:
+        make(np.zeros((0, 0)))
+    assert str(e.value) == "expected a square d x d array, got shape (0, 0)"
+
+
 # ---------------------------------------------------------------- translation
 
 

@@ -72,3 +72,11 @@ def test_trusted_values_are_no_larger_than_checked_ones():
         trusted = _traced_bytes(lambda: _trusted(cls, **valid))
         checked = _traced_bytes(lambda: cls(**valid))
         assert trusted <= 1.1 * checked, (cls.__name__, trusted, checked)
+
+
+def test_checked_tensors_sharing_a_support_are_no_larger_than_trusted_ones():
+    # the public constructor keeps a frozenset of tuples instead of copying it
+    support = frozenset({(0, 1), (2, 2)})
+    checked = _traced_bytes(lambda: SparseIndicatorTensor(n=3, k=2, support=support))
+    trusted = _traced_bytes(lambda: _trusted(SparseIndicatorTensor, n=3, k=2, support=support))
+    assert checked <= 1.1 * trusted, (checked, trusted)

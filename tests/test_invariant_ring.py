@@ -704,6 +704,18 @@ def test_check_conjectures_complete_graphs():
         assert report.b_verdict == "true"
 
 
+def test_check_conjectures_integer_cap():
+    # an integer cap at or above the full cap certifies; below it, caps
+    for g in [g for n in range(1, 4) for g in enumerate_graphs(n)]:
+        report = check_conjectures(g, 3)
+        assert (report.cap, report.verified_up_to) == (full_certification_cap(g.n),) * 2
+        assert (report.a_verdict, report.b_verdict) == ("true", "true")
+    report = check_conjectures(complete_graph(4), 3)
+    assert (report.cap, report.verified_up_to) == (3, 3)
+    assert report.new_by_degree == ((1, 1), (2, 1), (3, 1))
+    assert (report.a_verdict, report.b_verdict) == ("capped", "capped")
+
+
 def test_check_conjectures_star():
     report = check_conjectures(graph(4, (0, 3), (1, 3), (2, 3)))
     assert report.n == 4
@@ -913,6 +925,27 @@ def test_scan_enforces_generator_bound(monkeypatch):
         generator_degrees(swap, 4, elements=group_closure(swap))
 
 
+def test_scan_cross_checks_each_dimension_against_molien(monkeypatch):
+    # the bound comes from the true series, so only the cross-check can fire
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    real_series, real_bound = invariant_ring._molien_from_elements, invariant_ring._generator_bound
+    true = real_series(group_closure(swap), 4)
+
+    def one_high_at_degree_two(elements, max_degree):
+        series = list(real_series(elements, max_degree))
+        series[2] += 1
+        return tuple(series)
+
+    monkeypatch.setattr(invariant_ring, "_molien_from_elements", one_high_at_degree_two)
+    monkeypatch.setattr(invariant_ring, "_generator_bound", lambda _, s: real_bound(true, s))
+    message = (
+        f"orbit count {true[2]} at degree 2 disagrees with "
+        f"the cycle-index series value {true[2] + 1}"
+    )
+    with pytest.raises(AssertionError, match=message):
+        generator_degrees(swap, 4, elements=group_closure(swap))
+
+
 # ----------------------------------------------------------------- sweep/IO
 
 
@@ -972,6 +1005,33 @@ def test_import_leaves_multiprocessing_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_sweep_starts_at_most_one_worker_per_graph(monkeypatch):
+    # a pool starts every worker it is given at its first submit
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert sweep(3, jobs=64) == sweep(3)
+    assert started == [7]
+    assert len(sweep(1, jobs=4).reports) == 1
+    assert sweep(3, jobs=4, graphs=[]).reports == ()
+    assert started == [7]
 
 
 def test_sweep_accepts_explicit_graphs():

@@ -410,6 +410,22 @@ def test_network_shape_errors_name_the_stage():
         network_forward(bad_head, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "activation, hidden",
+    [("relu", [0.0, 1.0]), ("identity", [-2.0, 1.0]), ("sigmoid", [0.11920292202, 0.73105857863])],
+)
+def test_mlp_activates_between_its_affine_maps_only(activation, hidden):
+    # x = (1, 3): the first map gives (1 - 3, 2 * 1 - 1) = (-2, 1); the
+    # second reads the activated pair, and its output is not activated
+    head = Mlp(
+        [np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([[1.0, -3.0]])],
+        [np.array([0.0, -1.0]), np.array([0.5])],
+        activation,
+    )
+    expected = hidden[0] - 3.0 * hidden[1] + 0.5
+    assert np.allclose(head.forward(np.array([1.0, 3.0])), [expected], rtol=0, atol=1e-10)
+
+
 def test_weight_shape_validation():
     t = TypedNodeSet((2, 1))
     with pytest.raises(ValueError):

@@ -153,6 +153,21 @@ def test_sparse_tensor_refuses_a_tuple_of_the_wrong_length():
     assert str(e.value) == "support tuple (0, 1) is not of length 3"
 
 
+def test_sparse_tensor_keeps_a_frozenset_of_tuples():
+    support = frozenset({(0, 1), (2, 2)})
+    kept = SparseIndicatorTensor(3, 2, support)
+    assert kept.support is support
+    # any other collection is copied into a frozenset of plain tuples
+    class Index(tuple):
+        pass
+
+    for other in ([[0, 1], [2, 2]], {(0, 1), (2, 2)}, frozenset({Index((0, 1)), (2, 2)})):
+        copied = SparseIndicatorTensor(3, 2, other)
+        assert type(copied.support) is frozenset
+        assert all(type(t) is tuple for t in copied.support)
+        assert copied == kept and hash(copied) == hash(kept)
+
+
 @pytest.mark.parametrize("idx", [(0, 3), (-1, 0)])
 def test_sparse_tensor_refuses_a_node_out_of_range(idx):
     with pytest.raises(ValueError) as e:
