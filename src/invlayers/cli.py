@@ -67,6 +67,13 @@ def _require_positive(args, flag: str) -> int:
     return value
 
 
+def _require_positive_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    for s in sizes:
+        if s < 1:
+            raise _UsageError(f"--sizes must be positive ints, got {s}")
+    return sizes
+
+
 def _report(path: Optional[str], args, budget: Budgets, keys: Sequence[str], **fields) -> None:
     """Write a JSON report to path, or to stdout when path is None: the tool
     version, the resolved config (subcommand, the named arguments, the
@@ -129,7 +136,7 @@ def _cmd_dims(args, budget: Budgets) -> int:
             raise _UsageError("--oracle needs --sizes to fix concrete type sizes")
         if len(sizes) != m:
             raise _UsageError(f"--sizes must list exactly m={m} sizes, got {len(sizes)}")
-        spec = young_generators(TypedNodeSet(sizes))
+        spec = young_generators(TypedNodeSet(_require_positive_sizes(sizes)))
         oracle = orbit_count_on_tuples(spec, order, budget.tuple_enumeration)
         if min(sizes) < order:
             note = f"; gen_bell assumes every type holds at least k+d={order} nodes"
@@ -153,7 +160,8 @@ def _cmd_basis(args, budget: Budgets) -> int:
         raise BudgetError(f"--k {k} exceeds the axis cap {budget.axis_cap}")
     if len(sizes) > budget.type_cap:
         raise BudgetError(f"--sizes lists {len(sizes)} types, cap is {budget.type_cap}")
-    doc = _basis_document(build_full_basis(k, TypedNodeSet(sizes), budget.tuple_enumeration))
+    types = TypedNodeSet(_require_positive_sizes(sizes))
+    doc = _basis_document(build_full_basis(k, types, budget.tuple_enumeration))
     _report(args.out, args, budget, ["k", "sizes"], **doc)
     if args.out:
         print(f"wrote {doc['count']} basis records to {args.out}")
@@ -246,6 +254,7 @@ def _cmd_dft(args, budget: Budgets) -> int:
             raise _UsageError(f"--tol must be a finite nonnegative number, got {args.tol}")
         if args.seed < 0:
             raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+        _require_positive(args, "--images")
         deviation = verify_diagonalization(d, trials=args.images, seed=args.seed)
         print(
             f"max diagonalization deviation {deviation:.3e} over "
@@ -372,11 +381,13 @@ def _cmd_conjectures(args, budget: Budgets) -> int:
     if args.infile is not None:
         nmax, graphs = 0, read_graph6_file(args.infile, max_n=_MAX_SWEEP_N, min_n=1)
     else:
-        nmax, graphs = _require(args, "--nmax"), None
+        nmax, graphs = _require_positive(args, "--nmax"), None
         if nmax > _MAX_SWEEP_N:
             raise BudgetError(
                 f"--nmax {nmax} exceeds the verification range cap {_MAX_SWEEP_N}"
             )
+    if args.jobs is not None:
+        _require_positive(args, "--jobs")
     result = sweep(
         nmax, cap_policy, arithmetic=args.arith, budget=budget, jobs=args.jobs, graphs=graphs
     )

@@ -396,10 +396,11 @@ def _eliminate(
     fraction-free integer arithmetic when prime is None, otherwise
     arithmetic mod the prime, on entries in [0, prime), with every pivot
     scaled to lead coefficient 1 when stored.  The rows, fresh nonzero
-    dicts, are reduced in place.  Stops as soon as the rank reaches dim
-    (later rows, built lazily, are never built)."""
+    dicts, are reduced in place.  Checks the rank before taking each row,
+    so rows past rank dim, built lazily, are never built."""
     pivots: dict = dict(cover)
-    for row in rows:
+    rows = iter(rows)
+    while len(pivots) < dim and (row := next(rows, None)) is not None:
         while row:
             if not prime:
                 _strip_content(row)
@@ -427,20 +428,18 @@ def _eliminate(
                     row[c] = w
                 else:
                     del row[c]
-        if len(pivots) == dim:
-            break
     return set(pivots)
 
 
 class _RingScan:
     """Degree-by-degree minimal-generator computation for one group.
 
-    ``degrees[d]`` is the one record of scanned degree d, a ``_Degree``;
+    ``degrees[d]`` is the one record of verified degree d, a ``_Degree``;
     degree 0, the constant monomial alone, is built directly.  ``maps``
     holds each group generator's map on the rows of the last degree
-    scanned, carried to the next.  Each generator found is held as its
-    (degree, orbit) pair, so its lead and its members are read from the
-    record of its degree."""
+    scanned, carried to the next.  Each generator found is held, in degree
+    order, as its (degree, orbit) pair, so its lead and its members are
+    read from the record of its degree.  These records are the result."""
 
     def __init__(
         self,
@@ -511,12 +510,11 @@ class _RingScan:
 
     # ---- per-degree processing
 
-    def _scan_degree(self, d: int) -> tuple[int, int]:
-        """The invariant dimension at degree d and the number of new
-        generators found there."""
+    def _scan_degree(self, d: int) -> None:
+        """Record degree d, once its orbit count passes the Molien
+        cross-check and its products the budget, and find its new
+        generators."""
         ids, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
-        degree = _Degree(_monomials(self.n, d, self.width), ids, firsts)
-        self.degrees.append(degree)
         dim = len(firsts)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
@@ -526,14 +524,15 @@ class _RingScan:
         limit = self.budget.tuple_enumeration
         if _series((dg for dg, _ in self.gens), d)[d] > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
+        self.degrees.append(_Degree(_monomials(self.n, d, self.width), ids, firsts))
         if self.bound is not None and not self.bound[d]:
             # the Hilbert numerator allows no new generator here
-            return dim, 0
+            return
         # The row (i, o) has lead L_{g_i} + L_o.  If L_c - L_{g_i} borrows in
         # any field, it is negative or its fields sum to d - deg g_i plus
         # 2^w - 1 per borrow, so it is no monomial of that degree and misses
         # the lookup, as it should; so does a borrowed L_m - b in _extra_rows.
-        leads = degree.leads
+        leads = self.degrees[d].leads
         cover: dict[int, tuple[int, int, int]] = {}
         uncovered = list(range(dim))
         for i, (dg, g) in enumerate(self.gens):
@@ -541,16 +540,14 @@ class _RingScan:
             found = [(c, col.get(leads[c] - lead)) for c in uncovered]
             cover.update((c, (i, o, d)) for c, o in found if o is not None)
             uncovered = [c for c, o in found if o is None]
-        if len(cover) == dim:
-            # the cover's rows are triangular with unit lead coefficients,
-            # hence full-rank: no new generators, no arithmetic needed
-            return dim, 0
-        # full rank mod p proves full rank; a deficit is taken only from
-        # exact arithmetic, whose missing pivot columns are new generators
-        if self.arithmetic == "modular":
-            if len(_eliminate(self._extra_rows(d, cover), dim, _PRIME, cover, self._row)) == dim:
-                return dim, 0
-        pivots = _eliminate(self._extra_rows(d, cover), dim, None, cover, self._row)
+        # A full cover's rows are triangular with unit lead coefficients,
+        # hence full-rank, and end the first pass with no row built; full
+        # rank mod p proves full rank; a deficit is taken only from exact
+        # arithmetic, whose missing pivot columns are new generators.
+        for prime in (_PRIME, None) if self.arithmetic == "modular" else (None,):
+            pivots = _eliminate(self._extra_rows(d, cover), dim, prime, cover, self._row)
+            if len(pivots) == dim:
+                return
         new = [(d, c) for c in range(dim) if c not in pivots]
         if self.bound is not None and len(new) > self.bound[d]:
             raise AssertionError(
@@ -558,27 +555,21 @@ class _RingScan:
                 f"numerator bound {self.bound[d]}"
             )
         self.gens.extend(new)
-        return dim, len(new)
 
     def run(self) -> GeneratorDegreeResult:
-        new_by_degree: list[tuple[int, int]] = []
-        dims: list[int] = []
         for d in range(1, self.cap + 1):
             try:
-                dim, count = self._scan_degree(d)
+                self._scan_degree(d)
             except BudgetError:
                 break
-            if count:
-                new_by_degree.append((d, count))
-            dims.append(dim)
-        max_deg = max((d for d, _ in new_by_degree), default=0)
+        scanned = self.degrees[1:]
         return GeneratorDegreeResult(
             n=self.n,
             cap=self.cap,
-            verified_up_to=len(dims),
-            new_by_degree=tuple(new_by_degree),
-            max_generator_degree=max_deg,
-            dims=tuple(dims),
+            verified_up_to=len(scanned),
+            new_by_degree=tuple(collections.Counter(d for d, _ in self.gens).items()),
+            max_generator_degree=self.gens[-1][0] if self.gens else 0,
+            dims=tuple(len(degree.firsts) for degree in scanned),
             arithmetic=self.arithmetic,
         )
 

@@ -215,6 +215,13 @@ class Mlp:
             raise ValueError(f"unknown activation {self.activation!r}")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2:
+                raise ValueError(f"head affine {i}: weight must be 2-D, got shape {w.shape}")
+            if b.shape != w.shape[:1]:
+                raise ValueError(
+                    f"head affine {i}: bias must have shape {w.shape[:1]}, got {b.shape}"
+                )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         act = ACTIVATIONS[self.activation]

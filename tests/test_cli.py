@@ -496,7 +496,7 @@ def test_dft_check_diag_without_images_exits_one(capsys):
         code, out, err = run(capsys, ["dft", "--d", "4", "--check-diag", "--images", images])
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "at least one image" in err
+        assert err == f"error: --images must be positive, got {images}\n"
 
 
 def test_dft_check_diag_refuses_a_non_finite_or_negative_tol(capsys):
@@ -943,10 +943,18 @@ def test_decompose_rejects_boolean_entries(capsys, tmp_path):
         (["cyclic-dims", "--n", "3", "--k", "0"], None, "--k must be positive, got 0"),
         (["cyclic-dims", "--d", "-2", "--k", "2"], None, "--d must be positive, got -2"),
         (["dft", "--d", "0", "--check-diag"], None, "--d must be positive, got 0"),
+        (["dft", "--d", "3", "--check-diag", "--images", "0"], None,
+         "--images must be positive, got 0"),
+        (["conjectures", "--nmax", "0"], None, "--nmax must be positive, got 0"),
+        (["conjectures", "--nmax", "2", "--jobs", "0"], None, "--jobs must be positive, got 0"),
+        (["dims", "--m", "2", "--k", "1", "--sizes", "0,2", "--oracle"], None,
+         "--sizes must be positive ints, got 0"),
+        (["basis", "--k", "1", "--sizes", "0,1"], None, "--sizes must be positive ints, got 0"),
     ],
     ids=[
         "not-an-int", "out-of-range", "not-a-list", "not-zero-sum", "decompose-d",
-        "davenport-d", "cyclic-n", "cyclic-k", "cyclic-d", "dft-d",
+        "davenport-d", "cyclic-n", "cyclic-k", "cyclic-d", "dft-d", "dft-images",
+        "conjectures-nmax", "conjectures-jobs", "dims-sizes", "basis-sizes",
     ],
 )
 def test_errors_name_their_flag_or_file(capsys, tmp_path, monkeypatch, argv, monomial, message):
@@ -1133,7 +1141,7 @@ def test_conjectures_jobs_below_one_exits_one(capsys):
     code, out, err = run(capsys, ["conjectures", "--nmax", "3", "--jobs", "0"])
     assert code == 1
     assert out == ""
-    assert err == "error: need jobs >= 1, got 0\n"
+    assert err == "error: --jobs must be positive, got 0\n"
 
 
 def test_conjectures_invalid_nmax_exits_one(capsys):

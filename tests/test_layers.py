@@ -438,3 +438,54 @@ def test_weight_shape_validation():
         Mlp([np.zeros((2, 2))], [])
     with pytest.raises(ValueError):
         Mlp([], [], activation="tanh3")
+
+
+_T21 = TypedNodeSet((2, 1))
+_OTHER = TypedNodeSet((1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a length-1 bias would broadcast to all three outputs
+        (lambda: Mlp([np.ones((3, 2))], [np.ones(1)]),
+         "head affine 0: bias must have shape (3,), got (1,)"),
+        # a 1-row final map must not emit two outputs
+        (lambda: Mlp([np.ones((3, 2)), np.ones((1, 3))], [np.ones(3), np.ones(2)]),
+         "head affine 1: bias must have shape (1,), got (2,)"),
+        (lambda: Mlp([np.ones(3)], [np.ones(3)]),
+         "head affine 0: weight must be 2-D, got shape (3,)"),
+        (lambda: Mlp([np.ones((1, 2, 2))], [np.ones(1)]),
+         "head affine 0: weight must be 2-D, got shape (1, 2, 2)"),
+        (lambda: EquivariantMap(_T21, np.zeros((2, 2)), np.zeros(2), np.zeros(3)),
+         "c must have shape (2,)"),
+        (lambda: equivariant_forward(EquivariantMap(_T21, np.zeros((2, 2)), np.zeros(2)),
+                                     np.zeros(4)),
+         "expected shape (3,), got (4,)"),
+        (lambda: MultiChannelEquivariant(_T21, np.zeros((2, 2)), np.zeros((1, 1, 2))),
+         "W must have shape (c_in, c_out, 2, 2)"),
+        (lambda: MultiChannelEquivariant(_T21, np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2)),
+                                         np.zeros((2, 2))),
+         "bias must have shape (c_out, m)"),
+        (lambda: MultiChannelEquivariant(_T21, np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 2)))
+         .forward(np.zeros((3, 1))),
+         "expected shape (3, 2), got (3, 1)"),
+        (lambda: InvariantNetwork(_T21, [], [], Mlp([], []), activation="tanh3"),
+         "unknown activation 'tanh3'"),
+        (lambda: InvariantNetwork(
+            _T21, [MultiChannelEquivariant(_OTHER, np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2)))],
+            [InvariantPool(_T21, np.zeros(2))], Mlp([], [])),
+         "equivariant layer 0: node set mismatch"),
+        (lambda: InvariantNetwork(_T21, [], [InvariantPool(_OTHER, np.zeros(2))], Mlp([], [])),
+         "pool 0: node set mismatch"),
+    ],
+    ids=[
+        "mlp-broadcast-bias", "mlp-wide-final-bias", "mlp-vector-weight", "mlp-3d-weight",
+        "map-c", "map-input", "multi-W", "multi-bias", "multi-input", "network-activation",
+        "network-layer-types", "network-pool-types",
+    ],
+)
+def test_layers_refuse_what_does_not_fit(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

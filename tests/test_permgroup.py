@@ -374,3 +374,21 @@ def test_closure_is_a_group(spec):
         assert g.inverse().image in images
         for h in spec.generators:
             assert (g * h).image in images
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation((1, 0)).compose(Permutation((0, 1, 2))), "size mismatch"),
+        (lambda: PermGroupSpec(3, (Permutation((1, 0)),)), "generator degree 2 != 3"),
+        (lambda: TypedNodeSet((2, 1)).type_of(3), "node 3 out of range"),
+        (lambda: cyclic_generators(0), "n must be positive"),
+        (lambda: translation_generators(0), "d must be positive"),
+        (lambda: reduce_generators([]), "empty element list"),
+    ],
+    ids=["compose", "spec-degree", "type-of", "cyclic", "translation", "reduce"],
+)
+def test_permgroup_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -35,6 +35,59 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions and classes of the named module
+    sources that no code among them names, by name, attribute or import,
+    outside the helper's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = [
+        (name, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(name == node.name and ref not in own for name, ref in references):
+                orphans.append(f"{module} line {node.lineno}: {node.name}")
+    return orphans
+
+
+def test_orphaned_helpers_are_found():
+    sources = {
+        "a.py": (
+            "def _orphan(n):\n"
+            "    return _orphan(n - 1) if n else 0\n"
+            "def _called():\n"
+            "    return 1\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "class _Read:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _called()\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _Imported\nX = a._Read\n",
+    }
+    assert orphaned_helpers(sources) == ["a.py line 1: _orphan"]
+
+
+def test_private_helpers_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert orphaned_helpers(sources) == []
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"

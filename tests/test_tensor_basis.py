@@ -462,3 +462,48 @@ def test_load_rejects_empty_type_block():
     with pytest.raises(BasisFileError) as err:
         load_basis(io.StringIO(json.dumps(doc)))
     assert "type_sizes" in str(err.value)
+
+
+_BASIS_21 = build_full_basis(1, TypedNodeSet((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: reconstruct([1.0], _BASIS_21), "coefficient count does not match basis size"),
+        (lambda: reconstruct([], []), "empty basis"),
+        (lambda: serialize_basis([], io.StringIO()), "refusing to serialize an empty basis"),
+        (lambda: serialize_basis(_BASIS_21 + build_full_basis(2, TypedNodeSet((2, 1))),
+                                 io.StringIO()),
+         "basis elements disagree on node set or tensor order"),
+    ],
+    ids=["reconstruct-count", "reconstruct-empty", "serialize-empty", "serialize-mixed"],
+)
+def test_basis_functions_refuse_bases_that_do_not_fit(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _edited_basis_file(edit) -> io.StringIO:
+    buf = io.StringIO()
+    serialize_basis(_BASIS_21, buf)
+    doc = json.loads(buf.getvalue())
+    edit(doc)
+    return io.StringIO(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(count=3), "count field says 3 but 2 records present"),
+        (lambda doc: doc.update(type_sizes=[2, 2]), "type_sizes (2, 2) do not sum to n=3"),
+        (lambda doc: doc["elements"][0].update(axis_types=[0, 0]),
+         "record 0: axis_types length 2 != k=1"),
+    ],
+    ids=["count", "type-sizes-sum", "axis-types-length"],
+)
+def test_load_basis_refuses_a_header_or_record_that_does_not_fit(edit, message):
+    with pytest.raises(BasisFileError) as info:
+        load_basis(_edited_basis_file(edit))
+    assert str(info.value) == message

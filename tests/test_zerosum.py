@@ -549,3 +549,17 @@ def test_selftest_runs():
     from invlayers import zerosum
 
     zerosum.selftest()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GroupSequence(3, (5,)), "malformed count entry 5"),
+        (lambda: seq(3, (1, 0)).add(seq(4, (1, 0))), "modulus mismatch: 3 vs 4"),
+    ],
+    ids=["malformed-entry", "add-moduli"],
+)
+def test_group_sequence_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
