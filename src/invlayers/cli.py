@@ -128,15 +128,17 @@ def _cmd_dims(args, budget: Budgets) -> int:
         raise BudgetError(f"tensor order k+d={order} exceeds the axis cap {budget.axis_cap}")
     if m > budget.type_cap:
         raise BudgetError(f"--m {m} exceeds the type cap {budget.type_cap}")
+    sizes = args.sizes
+    if sizes is not None:
+        if len(sizes) != m:
+            raise _UsageError(f"--sizes must list exactly m={m} sizes, got {len(sizes)}")
+        _require_positive_sizes(sizes)
     value = gen_bell(m, order)
     oracle, note = None, ""
     if args.oracle:
-        sizes = args.sizes
         if sizes is None:
             raise _UsageError("--oracle needs --sizes to fix concrete type sizes")
-        if len(sizes) != m:
-            raise _UsageError(f"--sizes must list exactly m={m} sizes, got {len(sizes)}")
-        spec = young_generators(TypedNodeSet(_require_positive_sizes(sizes)))
+        spec = young_generators(TypedNodeSet(sizes))
         oracle = orbit_count_on_tuples(spec, order, budget.tuple_enumeration)
         if min(sizes) < order:
             note = f"; gen_bell assumes every type holds at least k+d={order} nodes"
@@ -510,6 +512,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         if args.selftest:
+            if not __debug__:
+                raise _UsageError("--selftest needs assertions, which python -O turns off")
             for name in args.selftests:
                 importlib.import_module(f".{name}", __package__).selftest()
             print(f"{args.cmd} selftest ok")

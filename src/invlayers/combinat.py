@@ -58,21 +58,9 @@ class SetPartition:
     def elements(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
 
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def block_index(self) -> dict[int, int]:
-        """Map each element to the index of its block."""
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return out
-
     def rgs(self) -> tuple[int, ...]:
         """Restricted growth string over the sorted ground set."""
-        idx = self.block_index()
+        idx = {x: i for i, block in enumerate(self.blocks) for x in block}
         return tuple(idx[x] for x in self.elements)
 
     @classmethod
@@ -113,7 +101,7 @@ class ColoredPartition:
             if not 0 <= t < m:
                 raise ValueError(f"axis {s} has type {t} outside 0..{m - 1}")
         for j, gamma in enumerate(self.gammas):
-            expected = tuple(s for s, t in enumerate(self.axis_types) if t == j)
+            expected = self.axes_of_type(j)
             if gamma.elements != expected:
                 raise ValueError(
                     f"gamma {j} partitions {gamma.elements}, expected {expected}"

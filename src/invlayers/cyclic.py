@@ -152,9 +152,7 @@ def idft2(z) -> np.ndarray:
     """Inverse of :func:`dft2`; returns a complex array (take the real part
     only if the source was known to be real)."""
     arr = _as_square(z, complex)
-    d = arr.shape[0]
-    Fc = np.conj(_phase_matrix(d))
-    return (Fc @ arr @ Fc.T) / (d * d)
+    return np.conj(dft2(np.conj(arr))) / arr.size
 
 
 def translate(x, p: int, q: int) -> np.ndarray:

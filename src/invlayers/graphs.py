@@ -285,11 +285,7 @@ def canonical_relabeling(g: Graph) -> Permutation:
     bitstring."""
     # order[p] = original vertex at canonical position p; the relabeling
     # permutation maps original vertex -> its position
-    order = _optimal_orders(g)[0]
-    image = [0] * g.n
-    for position, vertex in enumerate(order):
-        image[vertex] = position
-    return Permutation(tuple(image))
+    return Permutation(_order_map(_optimal_orders(g)[0], range(g.n)))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -383,13 +379,16 @@ def automorphism_group(g: Graph) -> PermGroupSpec:
 def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:
     """The image tuple of every automorphism, in search order."""
     first, *_ = orders = _optimal_orders(g)
-    images = []
-    for order in orders:
-        image = [0] * g.n
-        for u, v in zip(first, order):
-            image[u] = v
-        images.append(tuple(image))
-    return images
+    return [_order_map(first, order) for order in orders]
+
+
+def _order_map(source: tuple[int, ...], target: Iterable[int]) -> tuple[int, ...]:
+    """The image tuple sending source[i] to target[i] for every position i
+    of two vertex orders."""
+    image = [0] * len(source)
+    for u, v in zip(source, target):
+        image[u] = v
+    return tuple(image)
 
 
 def automorphism_generators(g: Graph) -> PermGroupSpec:

@@ -314,7 +314,8 @@ def burnside_count(spec: PermGroupSpec, k: int, cap: int = DEFAULT_BUDGETS.closu
         raise ValueError("k must be nonnegative")
     elements = group_closure(spec, cap)
     total = sum(g.fixed_point_count() ** k for g in elements)
-    assert total % len(elements) == 0, "fixed-point sum not divisible by group order"
+    if total % len(elements):
+        raise AssertionError("fixed-point sum not divisible by group order")
     return total // len(elements)
 
 

@@ -106,7 +106,8 @@ def build_basis_element(
     ]
     nodes = map(tuple, map(itertools.chain.from_iterable, itertools.product(*choices)))
     support = frozenset(map(pick, nodes))
-    assert len(support) == est
+    if len(support) != est:
+        raise AssertionError(f"built {len(support)} support tuples, expected {est}")
     # every support tuple picks k nodes of t's blocks
     return BasisElement(desc, _trusted(SparseIndicatorTensor, n=t.n, k=k, support=support), t)
 

@@ -114,6 +114,35 @@ def test_dims_sizes_length_mismatch_exits_one(capsys):
     assert "--sizes" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "3", "--k", "1", "--sizes", "1,2"], "--sizes must list exactly m=3 sizes, got 2"),
+        (["--m", "2", "--k", "1", "--sizes", "0,2"], "--sizes must be positive ints, got 0"),
+        # the length is checked before the entries
+        (["--m", "3", "--k", "1", "--sizes", "0,2"], "--sizes must list exactly m=3 sizes, got 2"),
+    ],
+    ids=["length", "positive", "length-first"],
+)
+def test_dims_checks_sizes_without_oracle(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "dims.json"
+    code, out, err = run(capsys, ["dims", *argv, "--out", str(out_path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_dims_valid_sizes_without_oracle_print_the_formula(capsys, tmp_path):
+    out_path = tmp_path / "dims.json"
+    code, out, err = run(capsys, ["dims", "--m", "2", "--k", "2", "--sizes", "1,3",
+                                  "--out", str(out_path)])
+    assert (code, out, err) == (0, "6\n", "")
+    data = json.loads(out_path.read_text())
+    assert data["config"]["sizes"] == [1, 3]
+    assert data["oracle"] is None
+
+
 def test_dims_invalid_m_exits_one(capsys):
     code, out, err = run(capsys, ["dims", "--m", "0", "--k", "2"])
     assert code == 1
@@ -969,6 +998,29 @@ def test_errors_name_their_flag_or_file(capsys, tmp_path, monkeypatch, argv, mon
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["dims", "--m", "9", "--k", "1"], 2, "budget exceeded: --m 9 exceeds the type cap 8"),
+        (["basis", "--k", "9", "--sizes", "2"], 2,
+         "budget exceeded: --k 9 exceeds the axis cap 8"),
+        (["basis", "--k", "1", "--sizes", ",".join(["1"] * 9)], 2,
+         "budget exceeded: --sizes lists 9 types, cap is 8"),
+        (["dims", "--m", "2", "--k", "1", "--sizes", "1,x"], 1,
+         "argument --sizes: expected a comma-separated integer list, got '1,x'"),
+        (["dft", "--in", "z.json"], 1, "--out is required when transforming files"),
+    ],
+    ids=["dims-type-cap", "basis-axis-cap", "basis-type-cap", "sizes-not-ints", "dft-no-out"],
+)
+def test_cli_refusals(capsys, monkeypatch, argv, exit_code, message):
+    for name in Budgets.__dataclass_fields__:
+        monkeypatch.delenv("INVLAYERS_" + name.upper(), raising=False)
+    code, out, err = run(capsys, argv)
+    assert code == exit_code
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ------------------------------------------------------------- conjectures
 
 
@@ -1276,6 +1328,20 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_selftest_refuses_to_run_without_assertions():
+    # python -O strips every assert a selftest makes, so a pass would mean nothing
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "invlayers", "dims", "--selftest"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --selftest needs assertions, which python -O turns off\n"
 
 
 def test_console_script_installed():

@@ -242,3 +242,24 @@ def test_partitions_of_arbitrary_ground_set(elements):
     assert len(parts) == bell(len(elements))
     for p in parts:
         assert p.elements == tuple(sorted(elements))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SetPartition(((-1,),)), "invalid axis index -1"),
+        (lambda: SetPartition.from_rgs((0, 1), (0,)), "rgs length must match ground set size"),
+        (lambda: ColoredPartition((), ()), "need at least one type"),
+        (lambda: gen_bell(1, -1), "k must be nonnegative"),
+        (lambda: egf_power_coeffs([1], 0), "m must be positive"),
+        (lambda: enumerate_set_partitions(-1), "k must be nonnegative"),
+        (lambda: enumerate_colored_partitions(-1, 1), "k must be nonnegative"),
+        (lambda: enumerate_colored_partitions(1, 0), "m must be positive"),
+    ],
+    ids=["negative-axis", "rgs-length", "no-type", "gen-bell-k", "egf-m", "set-partitions-k",
+         "colored-k", "colored-m"],
+)
+def test_combinat_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -70,6 +70,9 @@ def test_dim_validation():
             fn(0, 2)
         with pytest.raises(ValueError):
             fn(3, 0)
+    with pytest.raises(ValueError) as info:
+        verify_diagonalization(0)
+    assert str(info.value) == "need d >= 1, got 0"
 
 
 # ---------------------------------------------------------------- basis

@@ -100,6 +100,21 @@ def test_graph_validation():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(2, (0, 0)).relabel(Permutation((0, 1, 2))),
+         "permutation on 3 points for n=2"),
+        (lambda: write_graph6(Graph(63, (0,) * 63)), "short-form graph6 supports n <= 62, got 63"),
+    ],
+    ids=["relabel", "graph6-n"],
+)
+def test_graph_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "make, value",
     [
         (lambda: Graph(True, (0,)), "True"),

@@ -684,6 +684,25 @@ def test_full_certification_cap():
     assert full_certification_cap(6) == 15
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: molien_hilbert_coeffs(S3, -1), "need max_degree >= 0, got -1"),
+        (lambda: generator_degrees(S3, 2, arithmetic="fast"),
+         "arithmetic must be 'exact' or 'modular', got 'fast'"),
+        (lambda: generator_degrees(S3, -1), "need degree_cap >= 0, got -1"),
+        (lambda: check_conjectures(Graph(0, ())), "conjecture checks need at least one vertex"),
+        (lambda: sweep(0), "need n_max >= 1, got 0"),
+        (lambda: sweep(2, jobs=0), "need jobs >= 1, got 0"),
+    ],
+    ids=["molien-degree", "arithmetic", "degree-cap", "no-vertex", "sweep-n", "sweep-jobs"],
+)
+def test_invariant_ring_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("policy", [True, False, -3, 2.0, "half"])
 def test_cap_policy_refuses_what_is_not_a_nonnegative_integer(policy):
     message = f"or a nonnegative integer, got {policy!r}$"

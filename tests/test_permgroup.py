@@ -1,6 +1,9 @@
 import itertools
 import math
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from conftest import (
     brute_translation_group,
     brute_typed_group,
 )
+import invlayers
 from invlayers.combinat import gen_bell
 from invlayers.errors import BudgetError
 from invlayers.graphs import automorphism_group, enumerate_graphs
@@ -385,10 +389,37 @@ def test_closure_is_a_group(spec):
         (lambda: cyclic_generators(0), "n must be positive"),
         (lambda: translation_generators(0), "d must be positive"),
         (lambda: reduce_generators([]), "empty element list"),
+        (lambda: orbit_count_on_tuples(cyclic_generators(3), -1), "k must be nonnegative"),
+        (lambda: burnside_count(cyclic_generators(3), -1), "k must be nonnegative"),
     ],
-    ids=["compose", "spec-degree", "type-of", "cyclic", "translation", "reduce"],
+    ids=["compose", "spec-degree", "type-of", "cyclic", "translation", "reduce",
+         "orbit-count-k", "burnside-k"],
 )
 def test_permgroup_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_burnside_checks_divisibility_under_python_O():
+    # an element list that is not a group: the identity and a 3-cycle without
+    # its square, whose fixed-point sum 3 is not divisible by 2
+    code = (
+        "from invlayers import permgroup as pg\n"
+        "pg.group_closure = lambda spec, cap: [pg.Permutation((0, 1, 2)),"
+        " pg.Permutation((1, 2, 0))]\n"
+        "try:\n"
+        "    print(pg.burnside_count(pg.cyclic_generators(3), 1))\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(invlayers.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: fixed-point sum not divisible by group order\n"

@@ -64,6 +64,47 @@ def orphaned_helpers(sources: dict[str, str]) -> list[str]:
     return orphans
 
 
+def bare_asserts(source: str) -> list[int]:
+    """The lines of the ``assert`` statements outside any function named
+    ``selftest``: ``python -O`` strips them, so they cannot guard a result."""
+    tree = ast.parse(source)
+    in_selftest = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "selftest"
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) and id(node) not in in_selftest
+    )
+
+
+def test_bare_asserts_are_found():
+    source = (
+        "def count(xs):\n"
+        "    assert xs, 'empty'\n"
+        "    return len(xs)\n"
+        "def selftest():\n"
+        "    assert count([1]) == 1\n"
+        "    def check():\n"
+        "        assert count([2]) == 1\n"
+        "    check()\n"
+        "assert __debug__\n"
+    )
+    assert bare_asserts(source) == [2, 9]
+
+
+def test_library_code_raises_instead_of_asserting():
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in bare_asserts(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 def test_orphaned_helpers_are_found():
     sources = {
         "a.py": (

@@ -476,8 +476,11 @@ _BASIS_21 = build_full_basis(1, TypedNodeSet((2, 1)))
         (lambda: serialize_basis(_BASIS_21 + build_full_basis(2, TypedNodeSet((2, 1))),
                                  io.StringIO()),
          "basis elements disagree on node set or tensor order"),
+        (lambda: equivariant_basis(-1, 0, TypedNodeSet((2,))), "tensor orders must be nonnegative"),
+        (lambda: group_average(np.zeros(2), []), "empty element list"),
     ],
-    ids=["reconstruct-count", "reconstruct-empty", "serialize-empty", "serialize-mixed"],
+    ids=["reconstruct-count", "reconstruct-empty", "serialize-empty", "serialize-mixed",
+         "equivariant-order", "average-empty"],
 )
 def test_basis_functions_refuse_bases_that_do_not_fit(call, message):
     with pytest.raises(ValueError) as info:

@@ -556,10 +556,18 @@ def test_selftest_runs():
     [
         (lambda: GroupSequence(3, (5,)), "malformed count entry 5"),
         (lambda: seq(3, (1, 0)).add(seq(4, (1, 0))), "modulus mismatch: 3 vs 4"),
+        (lambda: seq(3, (1, 0)).subtract(seq(4, (1, 0))), "modulus mismatch: 3 vs 4"),
+        (lambda: davenport_constant(0), "need d >= 1, got 0"),
     ],
-    ids=["malformed-entry", "add-moduli"],
+    ids=["malformed-entry", "add-moduli", "subtract-moduli", "davenport-d"],
 )
 def test_group_sequence_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_subset_sum_search_refuses_a_table_beyond_its_budget():
+    with pytest.raises(BudgetError) as info:
+        find_zero_sum_subsequence(seq(400, (1, 0)))
+    assert str(info.value) == "subset-sum search needs 160000 states; budget is 100000"
