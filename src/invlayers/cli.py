@@ -375,13 +375,30 @@ def _parse_cap(text: str):
 _MAX_SWEEP_N = 7
 
 
+def _refuse_repeated_classes(path, numbered) -> None:
+    """Refuse a graph6 file with two lines in one isomorphism class, which
+    the sweep would report, and count, twice."""
+    from .graphs import canonical_graph6
+
+    first: dict[str, int] = {}
+    for number, g in numbered:
+        key = canonical_graph6(g)
+        if first.setdefault(key, number) != number:
+            raise ValueError(
+                f"{path}: lines {first[key]} and {number} hold one graph class, "
+                f"canonical graph6 {key}"
+            )
+
+
 def _cmd_conjectures(args, budget: Budgets) -> int:
-    from .graphs import read_graph6_file
+    from .graphs import _numbered_graph6_lines
     from .invariant_ring import report_to_json_dict, reports_csv_text, sweep, write_reports_csv
 
     cap_policy = _parse_cap(args.cap)
     if args.infile is not None:
-        nmax, graphs = 0, read_graph6_file(args.infile, max_n=_MAX_SWEEP_N, min_n=1)
+        numbered = _numbered_graph6_lines(args.infile, max_n=_MAX_SWEEP_N, min_n=1)
+        _refuse_repeated_classes(args.infile, numbered)
+        nmax, graphs = 0, [g for _, g in numbered]
     else:
         nmax, graphs = _require_positive(args, "--nmax"), None
         if nmax > _MAX_SWEEP_N:

@@ -11,11 +11,13 @@ orders (the equivalent leaves of McKay's canonical search tree, "Practical
 Graph Isomorphism", 1981), so one search serves both.  The search
 carries each unplaced vertex's column value down the tree, one shift-or per
 placed vertex, and a flag saying whether the prefix ties the best string.
-Enumeration extends each (n-1)-vertex class by one new vertex attached to
-one neighbor subset per orbit of the class's automorphism group (its
-smallest bitmask), which is complete because subsets in one orbit give
-isomorphic children, and dedupes canonically; it reproduces the known class
-counts 1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8.
+Enumeration is orderly (Read 1978; McKay, "Isomorph-free exhaustive
+generation", 1998): of the children of each canonical (n-1)-vertex class,
+one per neighbor subset of a new last vertex, it keeps those already
+canonical, with no canonical form and no dedupe.  The minimal string's
+prefix property, that a canonical graph's first n-1 vertices induce a
+canonical graph, makes that exact.  It reproduces the known class counts
+1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import os
 import string
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import BudgetError, Graph6ParseError, _trusted
-from .permgroup import PermGroupSpec, Permutation, _orbit_labels, reduce_generators
+from .permgroup import PermGroupSpec, Permutation, reduce_generators
 
 __all__ = [
     "Graph",
@@ -196,6 +196,13 @@ def read_graph6_file(path, max_n: Optional[int] = None, min_n: int = 0) -> list[
     with fewer than ``min_n`` ``ValueError``, naming its line.  Latin-1
     maps each byte to one character, so a non-ASCII byte reaches
     ``parse_graph6`` and is reported with its line."""
+    return [g for _, g in _numbered_graph6_lines(path, max_n, min_n)]
+
+
+def _numbered_graph6_lines(
+    path, max_n: Optional[int], min_n: int
+) -> list[tuple[int, Graph]]:
+    """The graphs of ``read_graph6_file``, each with its line number."""
     graphs = []
     with open(os.fspath(path), encoding="latin-1") as fp:
         for number, line in enumerate(fp, 1):
@@ -212,7 +219,7 @@ def read_graph6_file(path, max_n: Optional[int] = None, min_n: int = 0) -> list[
                     )
                 if g.n < min_n:
                     raise ValueError(f"line {number}: {g.n} vertices, fewer than {min_n}")
-                graphs.append(g)
+                graphs.append((number, g))
     return graphs
 
 
@@ -303,37 +310,54 @@ def enumerate_graphs(n: int) -> list[Graph]:
     """All isomorphism classes of simple graphs on n vertices, canonically
     labeled and sorted by graph6 string.
 
-    Built by extending every (n-1)-vertex class with a new vertex attached
-    to a neighbor subset, then deduping by canonical string; deleting the
-    last vertex of any n-vertex graph shows the construction is complete.
-    Only the smallest bitmask of each orbit of the parent's automorphism
-    group on subsets is tried: an automorphism carrying one subset to
-    another extends, fixing the new vertex, to an isomorphism between their
-    children, so the skipped children repeat a tried one's class.
+    Orderly generation (Read, "Every one a winner", 1978): every canonical
+    (n-1)-vertex class gets a new last vertex attached to each neighbor
+    subset, and a child is kept only if it is itself canonical.  The
+    canonical string has the prefix property: the first n-1 vertices of a
+    canonical graph induce a canonical graph, since a smaller string for
+    them would, followed by the same last column, give a smaller string for
+    the whole.  So each class's one canonical graph is the child of its
+    canonical parent and of one subset, and is reached exactly once.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     return list(_enumerate_cached(n))
 
 
-def _extension_subsets(parent: Graph) -> list[int]:
-    """The smallest neighbor-subset bitmask in each orbit of the parent's
-    automorphism group, ascending: the bitmasks that label themselves."""
-    size = 1 << parent.n
-    bits = np.arange(size)[:, None] >> np.arange(parent.n) & 1
-    # an automorphism sends the bit of vertex i to the bit of its image
-    images = np.array(_automorphism_images(parent), dtype=np.intp)
-    labels = _orbit_labels(size, (1 << images) @ bits.T)
-    return np.flatnonzero(labels == np.arange(size)).tolist()
+def _is_canonical(rows: tuple[int, ...]) -> bool:
+    """Whether no vertex order of the graph with these adjacency rows gives
+    a smaller column-major upper-triangle bitstring than the identity's.
 
+    A branch and bound like ``_optimal_orders``, but against the identity's
+    column values, which are fixed from the start.  At each position the
+    unplaced vertices' columns are read one placed vertex at a time, most
+    significant first, into a bitmask of the ones still tying the
+    identity's: one with a 0 where the identity has a 1 is smaller and
+    fails the search at once, one with a 1 where it has a 0 drops out.  The
+    search descends only into ties, so the prefix always ties.
+    """
+    placed: list[int] = []
 
-def _extend(parent: Graph, subset: int) -> Graph:
-    """The parent plus a new last vertex adjacent to the vertices in
-    ``subset``."""
-    bit = 1 << parent.n
-    rows = [row | bit if subset >> i & 1 else row for i, row in enumerate(parent.rows)]
-    # the new vertex's bit is set both ways, and never on its own row
-    return _trusted(Graph, n=parent.n + 1, rows=(*rows, subset))
+    def search(unplaced: int) -> bool:
+        depth = len(placed)
+        tie = unplaced
+        for i, p in enumerate(placed):
+            if rows[i] >> depth & 1:
+                if tie & ~rows[p]:
+                    return False  # a candidate with a 0 where the identity has a 1
+            else:
+                tie &= ~rows[p]  # drop the candidates with a 1 here
+        while tie:
+            low = tie & -tie
+            tie ^= low
+            placed.append(low.bit_length() - 1)
+            smaller = not search(unplaced ^ low)
+            placed.pop()
+            if smaller:
+                return False
+        return True
+
+    return search((1 << len(rows)) - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,12 +368,18 @@ def _enumerate_cached(n: int) -> tuple[Graph, ...]:
         )
     if n == 0:
         return (Graph(0, ()),)
-    seen: dict[str, Graph] = {}
+    bit = 1 << (n - 1)
+    children = []
     for parent in _enumerate_cached(n - 1):
-        for subset in _extension_subsets(parent):
-            child = canonical_form(_extend(parent, subset))
-            seen.setdefault(write_graph6(child), child)
-    result = tuple(seen[key] for key in sorted(seen))
+        for subset in range(bit):
+            rows = (
+                *(row | bit if subset >> i & 1 else row for i, row in enumerate(parent.rows)),
+                subset,
+            )
+            if _is_canonical(rows):
+                # the new vertex's bit is set both ways, and never on its own row
+                children.append(_trusted(Graph, n=n, rows=rows))
+    result = tuple(sorted(children, key=write_graph6))
     if n in _KNOWN_CLASS_COUNTS and len(result) != _KNOWN_CLASS_COUNTS[n]:
         raise AssertionError(
             f"enumeration produced {len(result)} classes for n={n}, "
@@ -411,3 +441,6 @@ def selftest() -> None:
     assert canonical_graph6(star) == canonical_graph6(
         star.relabel(Permutation((2, 0, 1, 3)))
     )
+    for bits in range(64):  # every labeled 4-vertex graph: header C, one data byte
+        g = parse_graph6(chr(67) + chr(63 + bits))
+        assert _is_canonical(g.rows) == (canonical_form(g) == g)

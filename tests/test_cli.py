@@ -1111,6 +1111,23 @@ def test_conjectures_reads_graph6_file(capsys, tmp_path):
     assert {r["graph6"] for r in rows} == {"Bw", "A_"}
 
 
+def test_conjectures_refuses_one_class_on_two_lines(capsys, tmp_path):
+    # a repeated class would write two identical rows and count twice
+    g6 = tmp_path / "graphs.g6"
+    cases = [
+        ("Bw\nA_\n\nBw\n", "1 and 4", "Bw"),  # the triangle twice, a blank line between
+        ("A_\nBg\nBo\n", "2 and 3", "BW"),  # two labelings of the 3-vertex path
+    ]
+    for text, lines, canonical in cases:
+        g6.write_text(text)
+        code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {g6}: lines {lines} hold one graph class, canonical graph6 {canonical}\n"
+        )
+
+
 def test_conjectures_names_the_line_of_a_bad_graph6_entry(capsys, tmp_path):
     g6 = tmp_path / "graphs.g6"
     g6.write_text("Bw\nzz!\n")

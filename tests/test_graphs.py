@@ -249,7 +249,9 @@ def test_canonical_form_is_isomorphic_relabeling():
 
 
 # sha256 of the newline-joined graph6 strings of enumerate_graphs(n),
-# frozen from the enumeration that tried every neighbor subset of a parent
+# frozen from enumerations that canonized and deduped each child: n <= 7
+# from one that tried every neighbor subset of a parent, n = 8 from one
+# that tried one subset per orbit of the parent's automorphism group
 ENUMERATION_SHA256 = {
     1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
     2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
@@ -258,6 +260,7 @@ ENUMERATION_SHA256 = {
     5: "978306f31045f9be78763583548ac8c32ffdd517ddccce984237ab3ec087ddb8",
     6: "10598a4b41837b791c767d3042b58dc58a723ca5d99144fd8e24085c12a49acb",
     7: "4a04fd789269433a870b8b1493182bfa0a73b637fd522eef4abcb1c7da75f9a1",
+    8: "ef42eb7e810e89b8a5facb660c97839506072a4c5333ff16c4e08e2605e71c69",
 }
 
 
@@ -296,24 +299,24 @@ def test_enumeration_pairwise_nonisomorphic_n4():
     assert seen == {write_graph6(g) for g in graphs}
 
 
-def test_skipped_subsets_repeat_a_kept_childs_class():
-    # enumeration extends a parent by the smallest subset of each orbit of
-    # its automorphism group; every other subset's child is isomorphic to one
-    from invlayers.graphs import _extend, _extension_subsets
+def test_is_canonical_matches_canonical_form_on_every_labeled_graph():
+    from invlayers.graphs import _is_canonical
 
-    for parent in [g for n in range(6) for g in enumerate_graphs(n)]:
-        group = brute_automorphisms(parent)
-        orbit_minima = sorted(
-            {
-                min(sum(1 << image[i] for i in range(parent.n) if s >> i & 1) for image in group)
-                for s in range(1 << parent.n)
-            }
-        )
-        kept = _extension_subsets(parent)
-        assert kept == orbit_minima
-        kept_classes = {canonical_graph6(_extend(parent, s)) for s in kept}
-        for s in set(range(1 << parent.n)) - set(kept):
-            assert canonical_graph6(_extend(parent, s)) in kept_classes
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph(n, *(pair for k, pair in enumerate(pairs) if mask >> k & 1))
+            assert _is_canonical(g.rows) == (canonical_form(g) == g)
+
+
+def test_each_class_deletes_its_last_vertex_to_a_class():
+    # the prefix property orderly generation rests on: a canonical graph's
+    # first n-1 vertices induce a canonical graph
+    for n in range(1, 8):
+        parents = set(enumerate_graphs(n - 1))
+        last = 1 << (n - 1)
+        for g in enumerate_graphs(n):
+            assert Graph(n - 1, tuple(row & ~last for row in g.rows[:-1])) in parents
 
 
 def test_enumeration_budget():
@@ -332,6 +335,12 @@ def test_every_enumerable_n_has_a_class_count_certificate():
 def test_enumeration_count_n7():
     assert len(enumerate_graphs(7)) == 1044
     assert enumeration_sha256(7) == ENUMERATION_SHA256[7]
+
+
+@pytest.mark.slow
+def test_enumeration_count_n8():
+    assert len(enumerate_graphs(8)) == 12346
+    assert enumeration_sha256(8) == ENUMERATION_SHA256[8]
 
 
 # ------------------------------------------------------------ automorphisms
