@@ -505,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("conjectures", "generator-degree bound sweep over small graphs",
             _cmd_conjectures, ("graphs", "invariant_ring"))
-    p.add_argument("--nmax", type=int, default=None, help="largest vertex count to sweep")
-    p.add_argument("--in", dest="infile", default=None, help="graph6 file, one graph per line")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--nmax", type=int, default=None, help="largest vertex count to sweep")
+    source.add_argument("--in", dest="infile", default=None, help="graph6 file, one graph per line")
     p.add_argument("--cap", default="2n", help="degree cap policy: full, 2n, or an integer")
     p.add_argument(
         "--arith",

@@ -8,13 +8,13 @@ minimal, found by branch-and-bound; two graphs are isomorphic exactly when
 their canonical graph6 strings match.  The same search keeps every order
 that ties the minimum, and the automorphisms are the maps between those
 orders (the equivalent leaves of McKay's canonical search tree, "Practical
-Graph Isomorphism", 1981), so one search serves both.  The search
-carries each unplaced vertex's column value down the tree, one shift-or per
-placed vertex, and a flag saying whether the prefix ties the best string.
-Enumeration is orderly (Read 1978; McKay, "Isomorph-free exhaustive
-generation", 1998): of the children of each canonical (n-1)-vertex class,
-one per neighbor subset of a new last vertex, it keeps those already
-canonical, with no canonical form and no dedupe.  The minimal string's
+Graph Isomorphism", 1981), so one search serves both.  At each position
+it tries only the unplaced vertices with the smallest column, kept as one
+bitmask.  Enumeration is orderly (Read 1978; McKay, "Isomorph-free
+exhaustive generation", 1998): of the children of each canonical
+(n-1)-vertex class, one per neighbor subset of a new last vertex, it keeps
+those already canonical, which the same search decides when started from
+the child's own string; no canonical form, no dedupe.  The minimal string's
 prefix property, that a canonical graph's first n-1 vertices induce a
 canonical graph, makes that exact.  It reproduces the known class counts
 1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8.
@@ -193,8 +193,8 @@ def write_graph6(g: Graph) -> str:
 def read_graph6_file(path, max_n: Optional[int] = None, min_n: int = 0) -> list[Graph]:
     """The graphs of a graph6 file, one a line, blank lines skipped.  A
     graph with more than ``max_n`` vertices raises ``BudgetError``, one
-    with fewer than ``min_n`` ``ValueError``, naming its line.  Latin-1
-    maps each byte to one character, so a non-ASCII byte reaches
+    with fewer than ``min_n`` ``ValueError``, naming the file and the line.
+    Latin-1 maps each byte to one character, so a non-ASCII byte reaches
     ``parse_graph6`` and is reported with its line."""
     return [g for _, g in _numbered_graph6_lines(path, max_n, min_n)]
 
@@ -208,17 +208,18 @@ def _numbered_graph6_lines(
         for number, line in enumerate(fp, 1):
             line = line.strip(string.whitespace)
             if line:
+                where = f"{path}: line {number}"
                 try:
                     g = parse_graph6(line)
                 except Graph6ParseError as exc:
-                    exc.args = (f"line {number}: {exc}",)
+                    exc.args = (f"{where}: {exc}",)
                     raise
                 if max_n is not None and g.n > max_n:
                     raise BudgetError(
-                        f"line {number}: {g.n} vertices exceed the verification range cap {max_n}"
+                        f"{where}: {g.n} vertices exceed the verification range cap {max_n}"
                     )
                 if g.n < min_n:
-                    raise ValueError(f"line {number}: {g.n} vertices, fewer than {min_n}")
+                    raise ValueError(f"{where}: {g.n} vertices, fewer than {min_n}")
                 graphs.append((number, g))
     return graphs
 
@@ -235,55 +236,89 @@ def write_graph6_file(path, graphs: Iterable[Graph]) -> None:
 @functools.lru_cache(maxsize=1)
 def _optimal_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every vertex order minimizing the column-major upper-triangle
-    bitstring, in lexicographic order: a depth-first branch and bound tries
-    the candidates for each position by column value, ties by vertex.
-    The last graph's result is kept, so asking for its automorphisms and
-    its canonical form runs one search.
+    bitstring, in lexicographic order: the canonical search run from no
+    known string.  The last graph's result is kept, so asking for its
+    automorphisms and its canonical form runs one search.
 
     Two optimal orders give the same canonical graph, so the map between
     them is an automorphism; an automorphism composed with an optimal order
-    gives another.  There is one optimal order per automorphism.  The
-    search prunes only prefixes strictly greater than the best string so
-    far, and the best string only decreases, so no tie of the final best is
-    cut.
+    gives another.  There is one optimal order per automorphism.
     """
-    rows = g.rows
-    best: list[int] = []
-    placed: list[int] = []
-    cols: list[int] = []
     orders: list[tuple[int, ...]] = []
+    _canonical_search(g.rows, orders)
+    return tuple(orders)
 
-    def search(candidates: list[tuple[int, int]], tie: bool) -> bool:
-        # candidates: (column value, vertex) of each unplaced vertex,
-        # ascending, a column value holding its adjacency to the placed
-        # prefix with the earliest placed vertex most significant; tie:
-        # whether the prefix equals the best string's (else it is smaller,
-        # or no string is known).  True when a new best string was found.
-        if not candidates:
-            if tie:
+
+def _is_canonical(rows: tuple[int, ...]) -> bool:
+    """Whether no vertex order of the graph with these adjacency rows gives
+    a smaller column-major upper-triangle bitstring than the identity's:
+    the canonical search run with the identity's string as the best."""
+    return not _canonical_search(rows, None)
+
+
+def _canonical_search(rows: tuple[int, ...], orders: Optional[list]) -> bool:
+    """A depth-first branch and bound for the vertex orders minimizing the
+    column-major upper-triangle bitstring; True when it finds a string
+    smaller than the best it started from.
+
+    At each position the unplaced vertices' columns are read one placed
+    vertex at a time, earliest most significant, into a bitmask of the
+    vertices with the smallest column: where some of them have a 0, the
+    ones with a 1 drop out.  Only those are tried, in vertex order, since
+    any other gives a larger string after the same prefix.  A prefix above
+    the best string is pruned; the best string only decreases, so no tie of
+    the final best is cut.  With a list for ``orders`` the search starts
+    from no known string and leaves every optimal order in it, in
+    lexicographic order.  With None the identity's string is the best from
+    the start, its column at a position read when the search first reaches
+    it, and the search stops at the first smaller column.
+    """
+    best: list[int] = []  # the best string's columns, as far as known
+    placed: list[int] = []
+
+    def search(unplaced: int, tie: bool) -> bool:
+        # tie: whether the prefix equals the best string's (else it is
+        # smaller, or no string is known); True when a new best is found
+        if not unplaced:
+            if orders is not None:
+                if not tie:
+                    orders.clear()
                 orders.append(tuple(placed))
-                return False
-            best[:] = cols
-            orders[:] = [tuple(placed)]
-            return True
-        depth = len(cols)
+            return not tie
+        depth = len(placed)
+        if depth == len(best) and tie:  # only the identity's string grows
+            col = 0
+            for row in rows[:depth]:
+                col = col << 1 | row >> depth & 1
+            best.append(col)
+        smallest = unplaced
+        col = 0
+        for p in placed:
+            zeros = smallest & ~rows[p]
+            col <<= 1
+            if zeros:
+                smallest = zeros
+            else:
+                col |= 1
+        if tie and col != best[depth]:
+            if col > best[depth] or orders is None:
+                return col < best[depth]  # pruned, or smaller than the identity's
+            tie = False
+        if not tie:
+            best[depth:] = [col]  # the first leaf below has the new best string
         improved = False
-        for val, v in candidates:
-            if tie and val > best[depth]:
-                break  # ascending: all later candidates worse
-            row = rows[v]
-            placed.append(v)
-            cols.append(val)
-            rest = sorted([((x << 1) | (row >> w & 1), w) for x, w in candidates if w != v])
-            if search(rest, tie and val == best[depth]):
+        while smallest:
+            low = smallest & -smallest
+            smallest ^= low
+            placed.append(low.bit_length() - 1)
+            if search(unplaced ^ low, tie):
+                if orders is None:
+                    return True
                 improved = tie = True  # the new best string runs through this prefix
-            cols.pop()
             placed.pop()
         return improved
 
-    # the first vertex has an empty column, so every start ties at 0
-    search([(0, v) for v in range(g.n)], False)
-    return tuple(orders)
+    return search((1 << len(rows)) - 1, orders is None)
 
 
 def canonical_relabeling(g: Graph) -> Permutation:
@@ -322,42 +357,6 @@ def enumerate_graphs(n: int) -> list[Graph]:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     return list(_enumerate_cached(n))
-
-
-def _is_canonical(rows: tuple[int, ...]) -> bool:
-    """Whether no vertex order of the graph with these adjacency rows gives
-    a smaller column-major upper-triangle bitstring than the identity's.
-
-    A branch and bound like ``_optimal_orders``, but against the identity's
-    column values, which are fixed from the start.  At each position the
-    unplaced vertices' columns are read one placed vertex at a time, most
-    significant first, into a bitmask of the ones still tying the
-    identity's: one with a 0 where the identity has a 1 is smaller and
-    fails the search at once, one with a 1 where it has a 0 drops out.  The
-    search descends only into ties, so the prefix always ties.
-    """
-    placed: list[int] = []
-
-    def search(unplaced: int) -> bool:
-        depth = len(placed)
-        tie = unplaced
-        for i, p in enumerate(placed):
-            if rows[i] >> depth & 1:
-                if tie & ~rows[p]:
-                    return False  # a candidate with a 0 where the identity has a 1
-            else:
-                tie &= ~rows[p]  # drop the candidates with a 1 here
-        while tie:
-            low = tie & -tie
-            tie ^= low
-            placed.append(low.bit_length() - 1)
-            smaller = not search(unplaced ^ low)
-            placed.pop()
-            if smaller:
-                return False
-        return True
-
-    return search((1 << len(rows)) - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -401,15 +400,10 @@ def automorphism_group(g: Graph) -> PermGroupSpec:
     so callers may sum over it directly; use :func:`automorphism_generators`
     for a small generating set.
     """
-    elements = sorted(_automorphism_images(g))
+    first, *_ = orders = _optimal_orders(g)
+    elements = sorted(_order_map(first, order) for order in orders)
     # each image maps one vertex order of 0..n-1 to another
     return PermGroupSpec(n=g.n, generators=tuple(_trusted(Permutation, image=e) for e in elements))
-
-
-def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:
-    """The image tuple of every automorphism, in search order."""
-    first, *_ = orders = _optimal_orders(g)
-    return [_order_map(first, order) for order in orders]
 
 
 def _order_map(source: tuple[int, ...], target: Iterable[int]) -> tuple[int, ...]:

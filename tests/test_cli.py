@@ -1128,13 +1128,27 @@ def test_conjectures_refuses_one_class_on_two_lines(capsys, tmp_path):
         )
 
 
+def test_conjectures_refuses_in_with_nmax(capsys, tmp_path):
+    # the file sets the graphs, so a --nmax beside it would go unread
+    g6 = tmp_path / "graphs.g6"
+    g6.write_text("Bw\nC~\n")
+    report = tmp_path / "report.json"
+    for flags, message in [
+        (["--in", str(g6), "--nmax", "1"], "argument --nmax: not allowed with argument --in"),
+        (["--nmax", "1", "--in", str(g6)], "argument --in: not allowed with argument --nmax"),
+    ]:
+        code, out, err = run(capsys, ["conjectures", *flags, "--json-out", str(report)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not report.exists()
+
+
 def test_conjectures_names_the_line_of_a_bad_graph6_entry(capsys, tmp_path):
     g6 = tmp_path / "graphs.g6"
     g6.write_text("Bw\nzz!\n")
     code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
     assert code == 1
     assert out == ""
-    assert err == "error: line 2: byte 3: need 286 data bytes for n=59, found 2\n"
+    assert err == f"error: {g6}: line 2: byte 3: need 286 data bytes for n=59, found 2\n"
 
 
 def test_conjectures_names_the_line_of_a_non_ascii_byte(capsys, tmp_path):
@@ -1143,11 +1157,11 @@ def test_conjectures_names_the_line_of_a_non_ascii_byte(capsys, tmp_path):
     code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
     assert code == 1
     assert out == ""
-    assert err == "error: line 2: byte 0: invalid header byte 255\n"
+    assert err == f"error: {g6}: line 2: byte 0: invalid header byte 255\n"
     g6.write_bytes(b"Bw\nC~\xa0\n")  # a non-ASCII space is data, not padding
     code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
     assert code == 1
-    assert err == "error: line 2: byte 2: trailing bytes after 1 data bytes for n=4\n"
+    assert err == f"error: {g6}: line 2: byte 2: trailing bytes after 1 data bytes for n=4\n"
 
 
 def test_conjectures_names_the_line_of_a_graph_with_no_vertices(capsys, tmp_path):
@@ -1157,7 +1171,7 @@ def test_conjectures_names_the_line_of_a_graph_with_no_vertices(capsys, tmp_path
     code, out, err = run(capsys, ["conjectures", "--in", str(g6)])
     assert code == 1
     assert out == ""
-    assert err == "error: line 3: 0 vertices, fewer than 1\n"
+    assert err == f"error: {g6}: line 3: 0 vertices, fewer than 1\n"
 
 
 def test_conjectures_holds_graph6_file_to_the_vertex_cap(capsys, tmp_path):
@@ -1168,7 +1182,7 @@ def test_conjectures_holds_graph6_file_to_the_vertex_cap(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: budget exceeded: line 2: 8 vertices exceed the verification range cap 7\n"
+        f"error: budget exceeded: {g6}: line 2: 8 vertices exceed the verification range cap 7\n"
     )
     g6.write_text("F????\n")  # seven vertices still run
     code, out, _ = run(capsys, ["conjectures", "--in", str(g6)])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from invlayers.graphs import (
     automorphism_group,
     canonical_form,
     canonical_graph6,
+    canonical_relabeling,
     enumerate_graphs,
     parse_graph6,
     read_graph6_file,
@@ -202,7 +204,8 @@ def test_graph6_file_round_trip(tmp_path):
 def test_graph6_file_errors_name_their_line(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\n\nzz!\n")
-    with pytest.raises(Graph6ParseError, match=r"^line 3: byte 3: ") as info:
+    prefix = re.escape(f"{path}: line 3: byte 3: ")
+    with pytest.raises(Graph6ParseError, match=f"^{prefix}") as info:
         read_graph6_file(path)
     assert info.value.offset == 3
 
@@ -269,6 +272,25 @@ def enumeration_sha256(n):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# sha256 of one line per class with n <= 7 vertices, relabeled by a seeded
+# random permutation: its canonical graph6, the image of its canonical
+# relabeling and its sorted automorphism images, frozen from the search that
+# sorted (column value, vertex) pairs at every node
+CANONICAL_SEARCH_SHA256 = "7dd549e545f981e17d74d83816fc4764eb255183fbb5dea1444c7e5d273749f0"
+
+
+def canonical_search_sha256():
+    rng = np.random.default_rng(32)
+    digest = hashlib.sha256()
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            moved = g.relabel(Permutation(tuple(map(int, rng.permutation(n)))))
+            images = sorted(p.image for p in automorphism_group(moved).generators)
+            line = f"{canonical_graph6(moved)} {canonical_relabeling(moved).image} {images}\n"
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_matches_pinned_hash(n):
     assert enumeration_sha256(n) == ENUMERATION_SHA256[n]
@@ -299,14 +321,24 @@ def test_enumeration_pairwise_nonisomorphic_n4():
     assert seen == {write_graph6(g) for g in graphs}
 
 
+@pytest.mark.slow
 def test_is_canonical_matches_canonical_form_on_every_labeled_graph():
     from invlayers.graphs import _is_canonical
 
+    graphs = []
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = graph(n, *(pair for k, pair in enumerate(pairs) if mask >> k & 1))
-            assert _is_canonical(g.rows) == (canonical_form(g) == g)
+            graphs.append(graph(n, *(pair for k, pair in enumerate(pairs) if mask >> k & 1)))
+    # every child the enumeration of n <= 7 tests: a class with a new last vertex
+    for n in range(1, 7):
+        for parent in enumerate_graphs(n):
+            for subset in range(1 << n):
+                edges = [(i, n) for i in range(n) if subset >> i & 1]
+                graphs.append(graph(n + 1, *parent.edges(), *edges))
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024 + 11290
+    for g in graphs:
+        assert _is_canonical(g.rows) == (canonical_form(g) == g)
 
 
 def test_each_class_deletes_its_last_vertex_to_a_class():
@@ -341,6 +373,11 @@ def test_enumeration_count_n7():
 def test_enumeration_count_n8():
     assert len(enumerate_graphs(8)) == 12346
     assert enumeration_sha256(8) == ENUMERATION_SHA256[8]
+
+
+@pytest.mark.slow
+def test_canonical_search_matches_pinned_hash():
+    assert canonical_search_sha256() == CANONICAL_SEARCH_SHA256
 
 
 # ------------------------------------------------------------ automorphisms
