@@ -16,10 +16,14 @@ and a product of monomials is the sum of their ints, with no carries (the
 packed monomials of Monagan and Pearce, ISSAC 2009).  A monomial of degree
 d is x_i times one, m, of degree d - 1, x_i its first variable, as index
 tables cached per degree record.  Its packed int is x_i's plus m's, and a
-generator g sends it to x_g(i) times g(m), so each degree's monomials and
-each generator's map on them are built from the degree below.  The orbits
-come from ``permgroup._orbit_labels``, the min-label propagation kernel
-that also computes vertex and tuple orbits.
+permutation t sends it to x_t(i) times t(m), so each degree's monomials,
+and the maps on them of the permutations the scan carries, are built from
+the degree below.  The orbits come from the generators' point-stabilizer
+chain (``permgroup._stabilizer_chain``), with one gather and minimum per
+coset representative per degree (``_orbit_partition``).  The chain is
+built from the generators alone: when the scan is also given the group's
+elements, their number must equal the chain's order, and the orbit counts
+stay independent of the cycle-index series read off them.
 
 Once the scan has passed degree d', the generators found so far generate
 every invariant of degree at most d'.  The span of the degree-d generator
@@ -86,7 +90,7 @@ from .graphs import Graph, automorphism_group, canonical_graph6, enumerate_graph
 from .permgroup import (
     PermGroupSpec,
     Permutation,
-    _orbit_labels,
+    _stabilizer_chain,
     group_closure,
     reduce_generators,
     vertex_orbits,
@@ -181,24 +185,44 @@ def _monomials(n: int, d: int, width: int) -> np.ndarray:
     return packed
 
 
+def _chain_maps(chain: list[list[tuple[int, ...]]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each representative of a stabilizer chain, deepest level first, as
+    its image array paired with its map on the one degree-0 row."""
+    zero = np.zeros(1, dtype=np.intp)
+    return [(np.array(t, dtype=np.intp), zero) for level in reversed(chain) for t in level]
+
+
 def _orbit_partition(
-    spec: PermGroupSpec, d: int, budget: Budgets, prev: Optional[list[np.ndarray]] = None
+    spec: PermGroupSpec,
+    d: int,
+    budget: Budgets,
+    prev: Optional[list[tuple[np.ndarray, np.ndarray]]] = None,
 ):
     """Partition the degree-d monomials into group orbits, refusing a
     negative degree (``ValueError``) and a degree with more monomials than
     the budget allows (``BudgetError``).
 
-    Returns (orbit id per monomial, an int array in ``_step_tables`` row
-    order; the row index of each orbit's lead, ascending; each generator's
-    map on the degree-d rows, to pass as ``prev`` at degree d + 1).
-    ``prev`` holds the generators' maps at degree d - 1; without it they
-    are carried up from degree 0, where each fixes the one row.  A
-    degree-d row is x_i * m, x_i its first variable, and g sends it to
-    x_g(i) * g(m), which is looked up in ``_step_tables``, with no sort.  An
-    orbit's smallest row index is its lex-max member and its label, so the
-    rows that label themselves are the leads, in ascending order, and a
-    running count of them numbers the orbits by descending lead, in one
-    pass with no sort.
+    Returns (each monomial's label, the row index of its orbit's lead, an
+    int array in ``_step_tables`` row order; the row index of each orbit's
+    lead, ascending; the (image, map on the degree-d rows) pair of each
+    chain representative, to pass as ``prev`` at degree d + 1).  ``prev``
+    pairs each representative of the generators' stabilizer chain
+    (``permgroup._stabilizer_chain``), deepest level first, with its map at
+    degree d - 1; without it the chain is built here and the maps carried
+    up from degree 0, where each fixes the one row.  A degree-d row is
+    x_i * m, x_i its first variable, and t sends it to x_t(i) * t(m),
+    which is looked up in ``_step_tables``, with no sort.
+
+    An orbit's smallest row index is its lex-max member, its lead.  Labels
+    start as the row indices, the leads under the trivial group, and each
+    representative t, deepest level first, lowers every row's label to the
+    label of its image under t where that is smaller.  Level k's
+    representatives and the identity are right coset representatives of
+    level k + 1's group in level k's, so after level k every row carries
+    its lead under level k's group; a label lowered earlier in the same
+    level is still a row of that orbit, so it does no harm.  That is one
+    gather and minimum per representative, with no fixed-point loop.  The
+    rows that label themselves are the leads, in ascending order.
     """
     n = spec.n
     if d < 0:
@@ -209,18 +233,18 @@ def _orbit_partition(
             f"degree {d} has {count} monomials on {n} variables; "
             f"budget is {budget.monomials_per_degree}"
         )
-    images = [np.array(g.image, dtype=np.intp) for g in spec.generators]
     degrees = (d,)
     if prev is None:
-        prev, degrees = [np.zeros(1, dtype=np.intp) for _ in images], range(1, d + 1)
+        prev, degrees = _chain_maps(_stabilizer_chain(spec)), range(1, d + 1)
     for e in degrees:
         first, quot, mul = _step_tables(n, e)
         # flat indices into mul, in intp, which take reads fastest
         first, quot, width = first.astype(np.intp), quot.astype(np.intp), mul.shape[1]
-        prev = [np.take(mul, (image * width)[first] + p[quot]) for image, p in zip(images, prev)]
-    labels = _orbit_labels(count, prev)
-    lead = labels == np.arange(count)
-    return (np.cumsum(lead) - 1)[labels], np.flatnonzero(lead), prev
+        prev = [(image, mul.take((image * width)[first] + m[quot])) for image, m in prev]
+    labels = np.arange(count)
+    for _, m in prev:
+        np.minimum(labels, labels[m], out=labels)
+    return labels, np.flatnonzero(labels == np.arange(count)), prev
 
 
 def invariant_dim_by_degree(
@@ -241,19 +265,19 @@ def monomial_orbit_sums(
     descending lead.  Like ``invariant_dim_by_degree``, a call at degree
     d builds, and keeps in the per-process cache, the monomial tables of
     every degree below d."""
-    ids, firsts, _ = _orbit_partition(spec, degree, budget)
+    labels, firsts, _ = _orbit_partition(spec, degree, budget)
     # row r is x_first[r] times row quot[r] of the degree below
-    rows = np.arange(len(ids))
-    exponents = np.zeros((len(ids), spec.n), dtype=np.intp)
+    rows = np.arange(len(labels))
+    exponents = np.zeros((len(labels), spec.n), dtype=np.intp)
     for e in range(degree, 0, -1):
         first, quot, _ = _step_tables(spec.n, e)
-        exponents[np.arange(len(ids)), first[rows]] += 1
+        exponents[np.arange(len(labels)), first[rows]] += 1
         rows = quot[rows]
-    members: list[list[tuple[int, ...]]] = [[] for _ in firsts]
+    members: dict[int, list[tuple[int, ...]]] = {lead: [] for lead in firsts.tolist()}
     # scanning in descending order sorts each member list, lead first
-    for oid, row in zip(ids.tolist(), exponents.tolist()):
-        members[oid].append(tuple(row))
-    return [tuple(ms) for ms in members]
+    for label, row in zip(labels.tolist(), exponents.tolist()):
+        members[label].append(tuple(row))
+    return [tuple(ms) for ms in members.values()]
 
 
 # -------------------------------------------------------------------- Molien
@@ -340,17 +364,24 @@ class GeneratorDegreeResult:
 
 class _Degree:
     """The orbits of one scanned degree: its packed monomials (descending),
-    the orbit id of each and the index of each orbit's lead among the
-    monomials (int arrays, as ``_orbit_partition`` returns them).  The
-    tables read off them are built when first read, since a degree the
-    Hilbert numerator settles may never need them: ``leads``, the packed
-    lead of each orbit; ``col``, the orbit of each lead; ``orbit_of``, the
-    orbit of each monomial; and ``members``, the monomials of each orbit."""
+    the label of each (the index of its orbit's lead among the monomials)
+    and the index of each orbit's lead, ascending (int arrays, as
+    ``_orbit_partition`` returns them).  The tables read off them are built
+    when first read, since a degree the Hilbert numerator settles needs
+    only the orbit count: ``ids``, the orbit of each monomial, numbered by
+    ascending lead index; ``leads``, the packed lead of each orbit;
+    ``col``, the orbit of each lead; ``orbit_of``, the orbit of each
+    monomial by its packed int; and ``members``, the monomials of each
+    orbit."""
 
-    def __init__(self, monomials: np.ndarray, ids: np.ndarray, firsts: np.ndarray):
+    def __init__(self, monomials: np.ndarray, labels: np.ndarray, firsts: np.ndarray):
         self.monomials = monomials
-        self.ids = ids
+        self.labels = labels
         self.firsts = firsts
+
+    @functools.cached_property
+    def ids(self) -> np.ndarray:
+        return np.searchsorted(self.firsts, self.labels)
 
     @functools.cached_property
     def leads(self) -> list[int]:
@@ -436,10 +467,11 @@ class _RingScan:
 
     ``degrees[d]`` is the one record of verified degree d, a ``_Degree``;
     degree 0, the constant monomial alone, is built directly.  ``maps``
-    holds each group generator's map on the rows of the last degree
-    scanned, carried to the next.  Each generator found is held, in degree
-    order, as its (degree, orbit) pair, so its lead and its members are
-    read from the record of its degree.  These records are the result."""
+    pairs each representative of the generators' stabilizer chain with its
+    map on the rows of the last degree scanned, carried to the next.  Each
+    generator found is held, in degree order, as its (degree, orbit) pair,
+    so its lead and its members are read from the record of its degree.
+    These records are the result."""
 
     def __init__(
         self,
@@ -456,12 +488,19 @@ class _RingScan:
         self.budget = budget
         self.arithmetic = arithmetic
         self.molien = self.bound = None
+        chain = _stabilizer_chain(spec)
         if elements is not None:
+            order = math.prod(len(level) + 1 for level in chain)
+            if order != len(elements):
+                raise AssertionError(
+                    f"the generators' stabilizer chain gives group order {order}, "
+                    f"but {len(elements)} elements are listed"
+                )
             self.molien = _molien_from_elements(elements, cap)
             self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
-        self.maps = [zero for _ in spec.generators]
+        self.maps = _chain_maps(chain)
         self.gens: list[tuple[int, int]] = []
 
     # ---- generator x orbit-sum rows
@@ -514,7 +553,7 @@ class _RingScan:
         """Record degree d, once its orbit count passes the Molien
         cross-check and its products the budget, and find its new
         generators."""
-        ids, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
+        labels, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
         dim = len(firsts)
         if self.molien is not None and dim != self.molien[d]:
             raise AssertionError(
@@ -524,7 +563,7 @@ class _RingScan:
         limit = self.budget.tuple_enumeration
         if _series((dg for dg, _ in self.gens), d)[d] > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
-        self.degrees.append(_Degree(_monomials(self.n, d, self.width), ids, firsts))
+        self.degrees.append(_Degree(_monomials(self.n, d, self.width), labels, firsts))
         if self.bound is not None and not self.bound[d]:
             # the Hilbert numerator allows no new generator here
             return
@@ -590,8 +629,9 @@ def generator_degrees(
     ``arithmetic`` selects "exact" integer elimination or the "modular"
     one-prime fast path (a degree that falls short of full rank mod p is
     eliminated again exactly, and only that exact pass names new
-    generators).  When ``elements`` lists the full group, every invariant
-    dimension is cross-checked against the cycle-index series."""
+    generators).  When ``elements`` lists the full group, its length is
+    checked against the order of the generators' stabilizer chain and every
+    invariant dimension against the cycle-index series."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:

@@ -4,12 +4,13 @@ exact orbit machinery.
 Three group families appear throughout: typed symmetric groups (direct
 products of symmetric groups on contiguous node blocks), the cyclic
 shift on n points, and the two-dimensional translation group acting on a
-d x d pixel grid.  Every orbit computation (on points, on k-tuples, on
-the vertex subsets that ``graphs`` extends, and on the monomials of
-``invariant_ring``) goes through one numpy kernel, ``_orbit_labels``,
-which propagates the smallest point of each orbit along the generator
-maps; element listings go through breadth-first closure with an explicit
-cap that raises instead of truncating.
+d x d pixel grid.  Orbits on points and on k-tuples come from one numpy
+kernel, ``_orbit_labels``, which propagates the smallest point of each
+orbit along the generator maps; the monomial orbits of ``invariant_ring``
+come from the coset representatives of ``_stabilizer_chain``, built from
+the generators by Schreier-Sims.  Element listings go through
+breadth-first closure with an explicit cap that raises instead of
+truncating.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -248,6 +249,62 @@ def reduce_generators(elements: Sequence[Permutation]) -> list[Permutation]:
     _, kept = _closure(images, elements[0].n, len(elements))
     # kept images are images of the checked elements
     return [_trusted(Permutation, image=image) for image in kept]
+
+
+def _stabilizer_chain(spec: PermGroupSpec) -> list[list[tuple[int, ...]]]:
+    """The point-stabilizer chain of the group the generators generate,
+    along base points 0, 1, ...: for each level whose base point b moves
+    under the stabilizer of the points below it, the images of its right
+    coset representatives other than the identity.  Each fixes the points
+    below b and sends a different point of b's orbit to b, so the group
+    order is the product of (level size + 1).
+
+    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003), which never lists the group: deepest level first, a
+    level's orbit is grown breadth-first by the strong generators that fix
+    the points below it, and each Schreier generator is sifted from that
+    level down; a residue other than the identity becomes a strong
+    generator, and the scan restarts at its first moved point.
+    """
+    n = spec.n
+    identity = tuple(range(n))
+    strong = [g.image for g in spec.generators if g.image != identity]
+    # levels[k][b] = (u, u^-1) with u(k) = b, for each point b of k's orbit
+    levels: list[dict] = [{} for _ in range(n)]
+
+    def residue(p: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
+        """p sifted through levels k, k + 1, ...; None if it sifts to the identity."""
+        for j in range(k, n):
+            if p[j] != j:
+                if p[j] not in levels[j]:
+                    return p
+                p = tuple(map(levels[j][p[j]][1].__getitem__, p))
+        return None
+
+    k = n - 1
+    while k >= 0:
+        gens = [s for s in strong if s[:k] == identity[:k]]
+        levels[k] = orbit = {k: (identity, identity)}
+        points = [k]
+        for b in points:
+            for s in gens:
+                if s[b] not in orbit:
+                    u = tuple(map(s.__getitem__, orbit[b][0]))
+                    orbit[s[b]] = (u, tuple(sorted(identity, key=u.__getitem__)))
+                    points.append(s[b])
+        # every Schreier generator s * u of the level must sift to the identity
+        products = (tuple(map(s.__getitem__, u)) for u, _ in orbit.values() for s in gens)
+        found = next((r for p in products if (r := residue(p, k)) is not None), None)
+        if found is None:
+            k -= 1
+        else:
+            strong.append(found)
+            k = next(i for i in range(n) if found[i] != i)
+    return [
+        [t for b, (_, t) in level.items() if b != k]
+        for k, level in enumerate(levels)
+        if len(level) > 1
+    ]
 
 
 def _orbit_labels(size: int, images: Iterable[Sequence[int]]) -> np.ndarray:

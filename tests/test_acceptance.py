@@ -6,14 +6,13 @@ that the terminal summary echoes (see ``conftest.py``).  The expected
 numbers repeat the independently frozen values from the per-module test
 files, so this file is a readable checklist rather than a second oracle.
 
-The seven-vertex sweep is long-running and opt-in: set
-``INVLAYERS_RUN_N7=1`` to include it.
+The seven-vertex sweep, about 7 s on a 2-core VM, is marked ``slow``:
+``-m "not slow"`` leaves it out.
 """
 
 import contextlib
 import itertools
 import math
-import os
 import pathlib
 import time
 
@@ -287,14 +286,10 @@ def test_criterion_09_conjecture_sweep_six_vertices(acceptance_record):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("INVLAYERS_RUN_N7") != "1",
-    reason="seven-vertex sweep is long-running; set INVLAYERS_RUN_N7=1 to include it",
-)
-def test_criterion_09_conjecture_sweep_seven_vertices_opt_in(acceptance_record):
-    """Opt-in: 1044 seven-vertex classes show no violation within cap 2n,
-    and their CSV matches the frozen one."""
-    with criterion(acceptance_record, 9, "conjecture sweep n=7 cap 2n (opt-in)"):
+def test_criterion_09_conjecture_sweep_seven_vertices(acceptance_record):
+    """1044 seven-vertex classes show no violation within cap 2n, and their
+    CSV matches the frozen one."""
+    with criterion(acceptance_record, 9, "conjecture sweep n=7 cap 2n"):
         result = sweep(7, cap_policy="2n", graphs=enumerate_graphs(7))
         assert len(result.reports) == 1044
         for r in result.reports:

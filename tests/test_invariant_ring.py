@@ -43,7 +43,7 @@ from invlayers.permgroup import (
     vertex_orbits,
     young_generators,
 )
-from test_permgroup import small_generator_sets
+from test_permgroup import generator_lists_with_repeats, small_generator_sets
 
 
 def trivial_group(n):
@@ -174,19 +174,6 @@ def test_orbit_sums_partition_monomials():
             assert leads == sorted(leads, reverse=True)
 
 
-@st.composite
-def generator_lists_with_repeats(draw):
-    """A random generating list, sometimes with the identity inserted or a
-    generator listed twice."""
-    spec = draw(small_generator_sets())
-    gens = list(spec.generators)
-    if draw(st.booleans()):
-        gens.insert(draw(st.integers(0, len(gens))), Permutation.identity(spec.n))
-    if draw(st.booleans()):
-        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
-    return PermGroupSpec(spec.n, tuple(gens))
-
-
 @given(generator_lists_with_repeats(), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_orbit_sums_match_brute_orbits_random_groups(spec, degree):
@@ -231,19 +218,25 @@ def groups_on_up_to_seven_points(draw):
 @given(groups_on_up_to_seven_points(), st.integers(0, 8))
 @settings(max_examples=60, deadline=None)
 def test_carried_maps_give_the_lexsort_orbits(spec, degree):
-    expected = lexsort_orbit_partition(spec, degree)
-    ids, firsts, maps = invariant_ring._orbit_partition(spec, degree, DEFAULT)
-    assert (ids.tolist(), firsts.tolist()) == expected
+    # a monomial's label is the row of its orbit's lead
+    ids, leads = lexsort_orbit_partition(spec, degree)
+    labels, firsts, maps = invariant_ring._orbit_partition(spec, degree, DEFAULT)
+    assert (labels.tolist(), firsts.tolist()) == ([leads[i] for i in ids], leads)
     # carried one degree at a time, as the generator scan carries them
-    carried = [np.zeros(1, dtype=np.intp) for _ in spec.generators]
+    chain = permgroup._stabilizer_chain(spec)
+    carried = invariant_ring._chain_maps(chain)
     for d in range(1, degree + 1):
-        ids, firsts, carried = invariant_ring._orbit_partition(spec, d, DEFAULT, carried)
-        assert (ids.tolist(), firsts.tolist()) == lexsort_orbit_partition(spec, d)
-    # each map sends a row to the row of its image: g moves exponent i to g(i)
+        labels, firsts, carried = invariant_ring._orbit_partition(spec, d, DEFAULT, carried)
+        ids, leads = lexsort_orbit_partition(spec, d)
+        assert (labels.tolist(), firsts.tolist()) == ([leads[i] for i in ids], leads)
+    # each map sends a row to the row of its image: t moves exponent i to t(i)
     rows = exponent_rows(spec.n, degree)
-    for g, m, c in zip(spec.generators, maps, carried):
+    reps = [t for level in reversed(chain) for t in level]
+    assert len(maps) == len(carried) == len(reps)
+    for t, (image, m), (_, c) in zip(reps, maps, carried):
+        assert image.tolist() == list(t)
         moved = np.empty_like(rows)
-        moved[:, list(g.image)] = rows
+        moved[:, list(t)] = rows
         assert np.array_equal(rows[m], moved)
         assert np.array_equal(m, c)
 
@@ -794,6 +787,20 @@ def test_check_conjectures_computes_vertex_orbits_once(monkeypatch):
     assert sizes == [4]
 
 
+def test_check_conjectures_labels_monomial_orbits_without_the_propagation_kernel(monkeypatch):
+    # the vertex orbits are the kernel's one call: the scan labels each
+    # degree's monomial orbits through the generators' stabilizer chain
+    sizes = []
+    kernel = permgroup._orbit_labels
+    monkeypatch.setattr(
+        permgroup, "_orbit_labels", lambda size, maps: sizes.append(size) or kernel(size, maps)
+    )
+    assert not hasattr(invariant_ring, "_orbit_labels")
+    report = check_conjectures(graph(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+    assert (report.aut_order, report.orbit_sizes, report.verified_up_to) == (12, (6,), 12)
+    assert sizes == [6]
+
+
 def test_vertex_transitive_verdicts_agree():
     c5 = graph(5, (0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
     report = check_conjectures(c5)
@@ -963,6 +970,17 @@ def test_scan_cross_checks_each_dimension_against_molien(monkeypatch):
     )
     with pytest.raises(AssertionError, match=message):
         generator_degrees(swap, 4, elements=group_closure(swap))
+
+
+def test_scan_checks_the_listed_order_against_the_generators_chain():
+    # the listed elements are S3's, the generators only a transposition's;
+    # the Molien series comes from the elements and the orbits from the
+    # generators, so the two certificates stay independent
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    s3 = young_generators(TypedNodeSet((3,)))
+    message = "stabilizer chain gives group order 2, but 6 elements are listed"
+    with pytest.raises(AssertionError, match=message):
+        generator_degrees(swap, 4, elements=group_closure(s3))
 
 
 # ----------------------------------------------------------------- sweep/IO

@@ -17,12 +17,15 @@ from conftest import (
     brute_typed_group,
 )
 import invlayers
+from invlayers import permgroup
+from invlayers.budgets import DEFAULT as DEFAULT_BUDGETS
 from invlayers.combinat import gen_bell
 from invlayers.errors import BudgetError
 from invlayers.graphs import automorphism_group, enumerate_graphs
 from invlayers.permgroup import (
     PermGroupSpec,
     _orbit_labels,
+    _stabilizer_chain,
     Permutation,
     TypedNodeSet,
     burnside_count,
@@ -352,6 +355,54 @@ def small_generator_sets(draw):
         for _ in range(count)
     )
     return PermGroupSpec(n, gens)
+
+
+@st.composite
+def generator_lists_with_repeats(draw):
+    """A random generating list, sometimes with the identity inserted or a
+    generator listed twice."""
+    spec = draw(small_generator_sets())
+    gens = list(spec.generators)
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), Permutation.identity(spec.n))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return PermGroupSpec(spec.n, tuple(gens))
+
+
+@given(generator_lists_with_repeats())
+@settings(max_examples=80, deadline=None)
+def test_stabilizer_chain_matches_the_closure(spec):
+    chain = _stabilizer_chain(spec)
+    elements = {g.image for g in group_closure(spec)}
+    assert math.prod(len(level) + 1 for level in chain) == len(elements)
+    # a level's base point is the first point its representatives move
+    bases = [next(i for i, j in enumerate(level[0]) if i != j) for level in chain]
+    assert bases == sorted(set(bases))
+    levels = dict(zip(bases, chain))
+    identity = tuple(range(spec.n))
+    for b in range(spec.n):
+        reps = levels.get(b, [])
+        assert all(t in elements and t[:b] == identity[:b] for t in reps)
+        # right coset representatives: each sends a different point of b's
+        # orbit under the stabilizer of the points below b onto b, so their
+        # inverses send b to distinct points, none of them b
+        sent = [t.index(b) for t in reps]
+        assert len(set(sent)) == len(sent) and b not in sent
+        stabilizer = [g for g in elements if g[:b] == identity[:b]]
+        assert {b, *sent} == {g[b] for g in stabilizer}
+
+
+def test_stabilizer_chain_of_s13_lists_no_element(monkeypatch):
+    # 13! elements are far above the closure cap, and the chain never lists them
+    def refuse(*args):
+        raise AssertionError("the chain must not list the group")
+
+    monkeypatch.setattr(permgroup, "_closure", refuse)
+    chain = _stabilizer_chain(young_generators(TypedNodeSet((13,))))
+    assert [len(level) for level in chain] == list(range(12, 0, -1))
+    assert math.prod(len(level) + 1 for level in chain) == math.factorial(13)
+    assert math.factorial(13) > DEFAULT_BUDGETS.closure_cap
 
 
 @given(small_generator_sets(), st.integers(0, 3))
