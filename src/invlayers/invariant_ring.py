@@ -38,18 +38,25 @@ among the leads.  Lex order is a monomial order, so the row's lead is
 L_g + L_o with coefficient 1: leads multiply, as in the subalgebra bases of
 Robbiano and Sweedler (LNM 1430, 1990).
 
-Ranks are certified cheapest first.  The cover picks, for each orbit c of
-degree d, the first generator g with L_c - L_g the lead of an orbit o of
-degree d - deg(g); when every orbit is covered, those rows are triangular
-with unit lead coefficients, hence full-rank, with no arithmetic at all.
-Otherwise the rows left over are reduced in place by sparse elimination,
-the cover's rows standing as known pivots, built only when a reduction
-reaches them, and the rows with a coefficient on an uncovered orbit going
-first.  Under modular arithmetic one pass runs modulo a large prime: rank
-mod p never exceeds rank over the rationals, so full rank mod p proves full
-rank.  Otherwise one exact pass runs (fraction-free, with content
-stripping), and the orbits whose columns hold no pivot are the new
-generators.
+Ranks are certified cheapest first, between two bounds.  The cover picks,
+for each orbit c of degree d, the first generator g with L_c - L_g the lead
+of an orbit o of degree d - deg(g); those rows are triangular with unit
+lead coefficients, hence independent, so the rank is at least the cover's
+size.  Every row is a combination of the degree-d products of the
+generators found below d, so the rank is at most their number P_d
+(``_RingScan._product_count``), and a cover larger than P_d raises
+``AssertionError``.  A cover of min(dim, P_d) columns therefore holds the
+leads of the whole product span and settles the degree with no row built:
+the uncovered orbits are the new generators.  Otherwise the rows left over
+are reduced in place by sparse elimination, the cover's rows standing as
+known pivots, built only when a reduction reaches them, and the rows with a
+coefficient on an uncovered orbit going first, until the pivots reach
+min(dim, P_d).  Under modular arithmetic, where P_d >= dim, one pass runs
+modulo a large prime first: rank mod p never exceeds rank over the
+rationals, so full rank mod p proves full rank (where P_d < dim full rank
+cannot be, and the pass is skipped).  Otherwise one exact pass runs
+(fraction-free, with content stripping), and the orbits whose columns hold
+no pivot are the new generators.
 
 When the scan is given the group's elements, many degrees need no rank at
 all.  The elementary symmetric polynomials of each vertex orbit O, of
@@ -419,19 +426,24 @@ def _eliminate(
     prime: Optional[int],
     cover: dict[int, tuple],
     build: Callable[..., dict[int, int]],
+    products: int,
 ) -> set[int]:
     """Sparse Gaussian elimination; returns the pivot columns, which depend
     on the rows' span alone, not on their order.  ``cover`` maps columns to
     known pivots, rows with lead coefficient 1 there, built as
-    ``build(*key)`` when a reduction first reaches them.  Exact
-    fraction-free integer arithmetic when prime is None, otherwise
-    arithmetic mod the prime, on entries in [0, prime), with every pivot
-    scaled to lead coefficient 1 when stored.  The rows, fresh nonzero
-    dicts, are reduced in place.  Checks the rank before taking each row,
-    so rows past rank dim, built lazily, are never built."""
+    ``build(*key)`` when a reduction first reaches them.  The cover's rows
+    and the rows lie in the span of ``products`` vectors, so the rank
+    reaches at most min(dim, products), and once the pivots reach it they
+    are all the span has.  Exact fraction-free integer arithmetic when
+    prime is None, otherwise arithmetic mod the prime, on entries in
+    [0, prime), with every pivot scaled to lead coefficient 1 when stored.
+    The rows, fresh nonzero dicts, are reduced in place.  Checks the rank
+    before taking each row, so rows past that bound, built lazily, are
+    never built, and a cover that reaches it builds nothing."""
     pivots: dict = dict(cover)
+    reach = min(dim, products)
     rows = iter(rows)
-    while len(pivots) < dim and (row := next(rows, None)) is not None:
+    while len(pivots) < reach and (row := next(rows, None)) is not None:
         while row:
             if not prime:
                 _strip_content(row)
@@ -471,7 +483,10 @@ class _RingScan:
     map on the rows of the last degree scanned, carried to the next.  Each
     generator found is held, in degree order, as its (degree, orbit) pair,
     so its lead and its members are read from the record of its degree.
-    These records are the result."""
+    These records are the result.  ``products[e]`` is the number of
+    products of degree e of the generators found so far, a generator of
+    degree e alone counting as one; it gains one entry per degree scanned,
+    so the cap never sizes it."""
 
     def __init__(
         self,
@@ -502,6 +517,7 @@ class _RingScan:
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
         self.gens: list[tuple[int, int]] = []
+        self.products = [1]
 
     # ---- generator x orbit-sum rows
 
@@ -549,10 +565,23 @@ class _RingScan:
 
     # ---- per-degree processing
 
+    def _product_count(self, d: int) -> int:
+        """P_d, the number of multisets of the generators found below degree
+        d whose degrees sum to d, from ``products`` at the degrees below d:
+        Euler's recurrence for the product over generators g of
+        1/(1 - t^deg g) gives d * P_d = sum over g and m >= 1 of
+        deg g * P_(d - m deg g)."""
+        degrees = collections.Counter(dg for dg, _ in self.gens)
+        return sum(k * c * sum(self.products[d - k :: -k]) for k, c in degrees.items()) // d
+
     def _scan_degree(self, d: int) -> None:
         """Record degree d, once its orbit count passes the Molien
-        cross-check and its products the budget, and find its new
-        generators."""
+        cross-check and its product count P_d the budget, and find its new
+        generators.  The cover's rows are independent products, so the cover
+        never outnumbers P_d (``AssertionError``); the elimination stops at
+        rank min(dim, P_d), so a cover that reaches it builds no row, and the
+        mod-p pass, which can prove only full rank, runs only where
+        P_d >= dim."""
         labels, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
         dim = len(firsts)
         if self.molien is not None and dim != self.molien[d]:
@@ -560,9 +589,10 @@ class _RingScan:
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
-        limit = self.budget.tuple_enumeration
-        if _series((dg for dg, _ in self.gens), d)[d] > limit:
+        products, limit = self._product_count(d), self.budget.tuple_enumeration
+        if products > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
+        self.products.append(products)
         self.degrees.append(_Degree(_monomials(self.n, d, self.width), labels, firsts))
         if self.bound is not None and not self.bound[d]:
             # the Hilbert numerator allows no new generator here
@@ -579,12 +609,19 @@ class _RingScan:
             found = [(c, col.get(leads[c] - lead)) for c in uncovered]
             cover.update((c, (i, o, d)) for c, o in found if o is not None)
             uncovered = [c for c, o in found if o is None]
-        # A full cover's rows are triangular with unit lead coefficients,
-        # hence full-rank, and end the first pass with no row built; full
-        # rank mod p proves full rank; a deficit is taken only from exact
-        # arithmetic, whose missing pivot columns are new generators.
-        for prime in (_PRIME, None) if self.arithmetic == "modular" else (None,):
-            pivots = _eliminate(self._extra_rows(d, cover), dim, prime, cover, self._row)
+        if len(cover) > products:
+            raise AssertionError(
+                f"{len(cover)} independent cover rows at degree {d} outnumber "
+                f"its {products} generator products"
+            )
+        # full rank mod p proves full rank, and needs P_d >= dim; a deficit is
+        # taken only from exact arithmetic, whose missing pivot columns are
+        # new generators
+        modular = self.arithmetic == "modular" and products >= dim
+        for prime in (_PRIME, None) if modular else (None,):
+            pivots = _eliminate(
+                self._extra_rows(d, cover), dim, prime, cover, self._row, products
+            )
             if len(pivots) == dim:
                 return
         new = [(d, c) for c in range(dim) if c not in pivots]
@@ -594,6 +631,7 @@ class _RingScan:
                 f"numerator bound {self.bound[d]}"
             )
         self.gens.extend(new)
+        self.products[d] += len(new)
 
     def run(self) -> GeneratorDegreeResult:
         for d in range(1, self.cap + 1):

@@ -585,6 +585,17 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
     assert exact.new_by_degree == ((1, 2), (2, 3), (3, 1), (4, 1))
 
 
+def test_scan_refuses_a_cover_that_outnumbers_the_product_count(monkeypatch):
+    # S3's degree-2 cover row e1 * e1 is one independent product; a count
+    # that misses it leaves the cover larger than the rank can be
+    count = invariant_ring._RingScan._product_count
+    monkeypatch.setattr(
+        invariant_ring._RingScan, "_product_count", lambda self, d: count(self, d) - (d == 2)
+    )
+    with pytest.raises(AssertionError, match="1 independent cover rows at degree 2 outnumber"):
+        generator_degrees(S3, 4)
+
+
 def _sparse(values):
     return {c: v for c, v in enumerate(values) if v}
 
@@ -629,32 +640,40 @@ def elimination_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_eliminate_pivots_are_the_rational_echelon_leads(case):
     prime, ncols, rows, cover = case
-    pulled, built = [], []
-
-    def supply():
-        for values in rows:
-            pulled.append(values)
-            yield _sparse(values)
-
-    def build(c):
-        built.append(c)
-        return _sparse(cover[c])
-
-    pivots = invariant_ring._eliminate(
-        supply(), ncols, prime, {c: (c,) for c in cover}, build
-    )
+    covering = list(cover.values())
     # column c leads an echelon basis exactly when it raises the rank of the
     # columns before it
-    covering = list(cover.values())
     ranks = [_rational_rank([v[:c] for v in covering + rows]) for c in range(ncols + 1)]
-    assert pivots == {c for c in range(ncols) if ranks[c + 1] > ranks[c]}
-    assert len(built) == len(set(built)) and set(built) <= set(cover)
-    # no row is pulled once the rank reaches the column count
-    full = next(
-        (k for k in range(len(rows)) if _rational_rank(covering + rows[:k]) == ncols),
-        len(rows),
-    )
-    assert len(pulled) == full
+    leads = {c for c in range(ncols) if ranks[c + 1] > ranks[c]}
+    # a product count of ncols bounds nothing; one equal to the rank does
+    for products in (ncols, ranks[-1]):
+        pulled, built = [], []
+
+        def supply():
+            for values in rows:
+                pulled.append(values)
+                yield _sparse(values)
+
+        def build(c):
+            built.append((c, len(pulled)))
+            return _sparse(cover[c])
+
+        pivots = invariant_ring._eliminate(
+            supply(), ncols, prime, {c: (c,) for c in cover}, build, products
+        )
+        assert pivots == leads
+        built_columns = [c for c, _ in built]
+        assert len(built_columns) == len(set(built_columns))
+        assert set(built_columns) <= set(cover)
+        # no row is pulled once the pivots reach the bound, and no cover row is
+        # built past the row that reaches it
+        full = next(
+            k
+            for k in range(len(rows) + 1)
+            if k == len(rows) or _rational_rank(covering + rows[:k]) == products
+        )
+        assert len(pulled) == full
+        assert all(0 < k <= full for _, k in built)
 
 
 # ----------------------------------------------------------------- verdicts
@@ -1080,7 +1099,8 @@ def test_sweep_accepts_explicit_graphs():
 # Answers frozen from the scan over products of generator multisets, which
 # the generator x orbit-sum rows replaced: the seeded random groups (n <= 6,
 # cap 2n, full groups listed, so every dimension is checked against Molien)
-# and the CSV of `conjectures --nmax 6 --cap 2n --arith modular`.
+# and the CSV of `conjectures --nmax 6 --cap 2n --arith modular`.  The CSV of
+# `conjectures --nmax 6 --cap full` was frozen before the product-count bound.
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -1106,6 +1126,65 @@ def test_six_vertex_modular_sweep_csv_frozen():
     result = sweep(6, "2n", arithmetic="modular")
     expected = (DATA / "conjectures_n6_cap2n_modular.csv").read_text(encoding="utf-8")
     assert invariant_ring.reports_csv_text(result.reports) == expected
+
+
+@pytest.mark.slow
+def test_six_vertex_full_cap_sweep_csv_frozen():
+    # auto arithmetic: n <= 5 exact, n = 6 modular
+    result = sweep(6, "full")
+    expected = (DATA / "conjectures_n6_capfull.csv").read_text(encoding="utf-8")
+    assert invariant_ring.reports_csv_text(result.reports) == expected
+
+
+def _csv_rows(text, sizes):
+    """The CSV's rows for graphs whose vertex count is in sizes."""
+    return [line for line in text.splitlines()[1:] if int(line.split(",")[1]) in sizes]
+
+
+def test_no_product_row_where_the_cover_reaches_the_product_count(monkeypatch):
+    """Every n <= 5 class at cap full (exact) and every n = 6 class at cap 2n
+    (modular): the running product count P_d equals the multiset count over
+    the generators found below d, no mod-p pass runs where P_d < dim, no row
+    is built at a degree whose cover reaches min(dim, P_d), and the reports
+    are the frozen ones."""
+    scan_class = invariant_ring._RingScan
+    count, row, eliminate = scan_class._product_count, scan_class._row, invariant_ring._eliminate
+    settled, built = [], []
+
+    def hooked_count(self, d):
+        products = count(self, d)
+        assert products == invariant_ring._series((dg for dg, _ in self.gens), d)[d]
+        settled.append(False)
+        return products
+
+    def hooked_eliminate(rows, dim, prime, cover, build, products):
+        # a mod-p pass can only prove full rank, which needs P_d >= dim
+        assert prime is None or products >= dim
+        settled[-1] = len(cover) >= min(dim, products)
+        return eliminate(rows, dim, prime, cover, build, products)
+
+    def hooked_row(self, i, o, d):
+        assert not settled[-1], d
+        built.append(d)
+        return row(self, i, o, d)
+
+    monkeypatch.setattr(scan_class, "_product_count", hooked_count)
+    monkeypatch.setattr(scan_class, "_row", hooked_row)
+    monkeypatch.setattr(invariant_ring, "_eliminate", hooked_eliminate)
+    small = sweep(5, "full", arithmetic="exact")
+    six = sweep(6, "2n", arithmetic="modular", graphs=enumerate_graphs(6))
+    assert any(settled) and built
+    assert len(small.reports) == 52
+    for r in small.reports:
+        assert r.verified_up_to == full_certification_cap(r.n)
+        assert r.a_verdict == r.b_verdict == "true"
+    for result, name, sizes in (
+        (small, "conjectures_n6_capfull.csv", range(1, 6)),
+        (six, "conjectures_n6_cap2n_modular.csv", (6,)),
+    ):
+        frozen = (DATA / name).read_text(encoding="utf-8")
+        rows = _csv_rows(invariant_ring.reports_csv_text(result.reports), sizes)
+        assert rows == _csv_rows(frozen, sizes)
 
 
 def test_selftest_runs():
