@@ -18,12 +18,13 @@ d is x_i times one, m, of degree d - 1, x_i its first variable, as index
 tables cached per degree record.  Its packed int is x_i's plus m's, and a
 permutation t sends it to x_t(i) times t(m), so each degree's monomials,
 and the maps on them of the permutations the scan carries, are built from
-the degree below.  The orbits come from the generators' point-stabilizer
-chain (``permgroup._stabilizer_chain``), with one gather and minimum per
-coset representative per degree (``_orbit_partition``).  The chain is
-built from the generators alone: when the scan is also given the group's
-elements, their number must equal the chain's order, and the orbit counts
-stay independent of the cycle-index series read off them.
+the degree below.  The orbits come from the group's point-stabilizer
+chain, with one gather and minimum per coset representative per degree
+(``_orbit_partition``).  When the scan is given the group's elements, the
+chain is read off them in one pass (``permgroup._listed_chain``), which
+checks each stabilizer's element count against its cosets; otherwise it is
+built from the generators by Schreier-Sims (``permgroup._stabilizer_chain``),
+which lists no element.
 
 Once the scan has passed degree d', the generators found so far generate
 every invariant of degree at most d'.  The span of the degree-d generator
@@ -97,10 +98,10 @@ from .graphs import Graph, automorphism_group, canonical_graph6, enumerate_graph
 from .permgroup import (
     PermGroupSpec,
     Permutation,
+    _listed_chain,
+    _listed_orbit_sizes,
     _stabilizer_chain,
     group_closure,
-    reduce_generators,
-    vertex_orbits,
 )
 
 __all__ = [
@@ -213,12 +214,12 @@ def _orbit_partition(
     int array in ``_step_tables`` row order; the row index of each orbit's
     lead, ascending; the (image, map on the degree-d rows) pair of each
     chain representative, to pass as ``prev`` at degree d + 1).  ``prev``
-    pairs each representative of the generators' stabilizer chain
-    (``permgroup._stabilizer_chain``), deepest level first, with its map at
-    degree d - 1; without it the chain is built here and the maps carried
-    up from degree 0, where each fixes the one row.  A degree-d row is
-    x_i * m, x_i its first variable, and t sends it to x_t(i) * t(m),
-    which is looked up in ``_step_tables``, with no sort.
+    pairs each representative of a stabilizer chain of the group, deepest
+    level first, with its map at degree d - 1; without it the chain is
+    built here from the generators (``permgroup._stabilizer_chain``) and
+    the maps carried up from degree 0, where each fixes the one row.  A
+    degree-d row is x_i * m, x_i its first variable, and t sends it to
+    x_t(i) * t(m), which is looked up in ``_step_tables``, with no sort.
 
     An orbit's smallest row index is its lex-max member, its lead.  Labels
     start as the row indices, the leads under the trivial group, and each
@@ -479,8 +480,11 @@ class _RingScan:
 
     ``degrees[d]`` is the one record of verified degree d, a ``_Degree``;
     degree 0, the constant monomial alone, is built directly.  ``maps``
-    pairs each representative of the generators' stabilizer chain with its
-    map on the rows of the last degree scanned, carried to the next.  Each
+    pairs each representative of the group's stabilizer chain with its map
+    on the rows of the last degree scanned, carried to the next.  Given the
+    group's elements, the scan reads the chain and the vertex orbit sizes
+    of its bound off them, and checks that they hold every generator of the
+    spec; given none, it builds the chain from the generators.  Each
     generator found is held, in degree order, as its (degree, orbit) pair,
     so its lead and its members are read from the record of its degree.
     These records are the result.  ``products[e]`` is the number of
@@ -503,16 +507,16 @@ class _RingScan:
         self.budget = budget
         self.arithmetic = arithmetic
         self.molien = self.bound = None
-        chain = _stabilizer_chain(spec)
-        if elements is not None:
-            order = math.prod(len(level) + 1 for level in chain)
-            if order != len(elements):
-                raise AssertionError(
-                    f"the generators' stabilizer chain gives group order {order}, "
-                    f"but {len(elements)} elements are listed"
-                )
+        if elements is None:
+            chain = _stabilizer_chain(spec)
+        else:
+            chain = _listed_chain(self.n, elements)
+            listed = {g.image for g in elements}
+            missing = next((g.image for g in spec.generators if g.image not in listed), None)
+            if missing is not None:
+                raise AssertionError(f"generator {missing} is not a listed element")
             self.molien = _molien_from_elements(elements, cap)
-            self.bound = _generator_bound(self.molien, [len(o) for o in vertex_orbits(spec)])
+            self.bound = _generator_bound(self.molien, _listed_orbit_sizes(elements))
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
@@ -667,9 +671,11 @@ def generator_degrees(
     ``arithmetic`` selects "exact" integer elimination or the "modular"
     one-prime fast path (a degree that falls short of full rank mod p is
     eliminated again exactly, and only that exact pass names new
-    generators).  When ``elements`` lists the full group, its length is
-    checked against the order of the generators' stabilizer chain and every
-    invariant dimension against the cycle-index series."""
+    generators).  A given ``elements`` is taken to be the group: the scan
+    reads its stabilizer chain and vertex orbits off that listing, checks
+    that it holds every generator and that each stabilizer's element count
+    matches its cosets, and checks every invariant dimension against the
+    cycle-index series of the listing."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:
@@ -756,13 +762,11 @@ def check_conjectures(
     if arithmetic == "auto":
         arithmetic = "exact" if n <= 5 else "modular"
     aut = automorphism_group(graph)
-    gens = PermGroupSpec(n=n, generators=tuple(reduce_generators(aut.generators)))
-    orbits = vertex_orbits(gens)
-    orbit_sizes = tuple(sorted((len(o) for o in orbits), reverse=True))
+    orbit_sizes = tuple(sorted(_listed_orbit_sizes(aut.generators), reverse=True))
     max_orbit = orbit_sizes[0]
     cap = _resolve_cap(cap_policy, n)
     scan = generator_degrees(
-        gens, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
+        aut, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
     )
     aut_order = len(aut.generators)
     full_cap = full_certification_cap(n)

@@ -7,16 +7,19 @@ shift on n points, and the two-dimensional translation group acting on a
 d x d pixel grid.  Orbits on points and on k-tuples come from one numpy
 kernel, ``_orbit_labels``, which propagates the smallest point of each
 orbit along the generator maps; the monomial orbits of ``invariant_ring``
-come from the coset representatives of ``_stabilizer_chain``, built from
-the generators by Schreier-Sims.  Element listings go through
-breadth-first closure with an explicit cap that raises instead of
+come from the coset representatives of a point-stabilizer chain, read off
+a listing of the group in one pass (``_listed_chain``) or built from the
+generators by Schreier-Sims (``_stabilizer_chain``).  Element listings go
+through breadth-first closure with an explicit cap that raises instead of
 truncating.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -305,6 +308,48 @@ def _stabilizer_chain(spec: PermGroupSpec) -> list[list[tuple[int, ...]]]:
         for k, level in enumerate(levels)
         if len(level) > 1
     ]
+
+
+def _listed_chain(n: int, elements: Iterable[Permutation]) -> list[list[tuple[int, ...]]]:
+    """The point-stabilizer chain of a listed group on n points, in the
+    format of ``_stabilizer_chain`` along base points 0, 1, ..., read off
+    the listing in one pass.  An element whose first moved point is k fixes
+    the points below k and sends a point b = image.index(k) other than k to
+    k; the first element listed for each (k, b) is level k's representative.
+    The elements that fix the points below k form the stabilizer G_k, and
+    those of them that send b to k one right coset of G_(k+1), so every
+    coset other than G_(k+1) gets its representative and the chain's order
+    is the listing's length.
+
+    Raises ``AssertionError`` unless the identity is listed once and, for
+    each k, the elements that fix the points below k number those that also
+    fix k times (level size + 1), as in every group (Lagrange)."""
+    identity, points = tuple(range(n)), range(n)
+    levels: list[dict[int, tuple[int, ...]]] = [{} for _ in points]
+    first_moved = [0] * (n + 1)
+    for g in elements:
+        image = g.image
+        k = next(itertools.compress(points, map(operator.ne, image, identity)), n)
+        first_moved[k] += 1
+        if k < n:
+            levels[k].setdefault(image.index(k), image)
+    fixing = 0
+    for k in range(n, -1, -1):
+        below, fixing = fixing, fixing + first_moved[k]
+        expected = below * (len(levels[k]) + 1) if k < n else 1
+        if fixing != expected:
+            raise AssertionError(
+                f"{fixing} listed elements fix the points below {k}, "
+                f"but their stabilizer chain needs {expected}"
+            )
+    return [list(level.values()) for level in levels if level]
+
+
+def _listed_orbit_sizes(elements: Iterable[Permutation]) -> list[int]:
+    """The sizes of a listed group's orbits on points, by smallest member:
+    the orbit of x is the set of its images, named by the smallest."""
+    names = map(min, zip(*(g.image for g in elements)))
+    return list(collections.Counter(names).values())
 
 
 def _orbit_labels(size: int, images: Iterable[Sequence[int]]) -> np.ndarray:

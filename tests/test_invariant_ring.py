@@ -241,6 +241,49 @@ def test_carried_maps_give_the_lexsort_orbits(spec, degree):
         assert np.array_equal(m, c)
 
 
+def _check_listed_chain(spec, elements, degree):
+    """The chain and the orbit sizes read off a listing of the group of the
+    spec, against Schreier-Sims on its generators and the propagation
+    kernel."""
+    listed = permgroup._listed_chain(spec.n, elements)
+    chain = permgroup._stabilizer_chain(spec)
+    assert [len(level) for level in listed] == [len(level) for level in chain]
+    bases = []
+    for level in listed:
+        base = next(i for i, x in enumerate(level[0]) if x != i)
+        bases.append(base)
+        # each representative fixes the points below its base and sends a
+        # different point to it
+        assert all(t[:base] == tuple(range(base)) and t[base] != base for t in level)
+        sent = [t.index(base) for t in level]
+        assert len(set(sent)) == len(sent)
+    assert bases == sorted(set(bases))
+    carried = [invariant_ring._chain_maps(c) for c in (listed, chain)]
+    for d in range(1, degree + 1):
+        parts = [invariant_ring._orbit_partition(spec, d, DEFAULT, maps) for maps in carried]
+        (labels, firsts, _), (chain_labels, chain_firsts, _) = parts
+        assert np.array_equal(labels, chain_labels) and np.array_equal(firsts, chain_firsts)
+        carried = [maps for _, _, maps in parts]
+    assert permgroup._listed_orbit_sizes(elements) == [len(o) for o in vertex_orbits(spec)]
+
+
+def test_listed_chain_matches_schreier_sims_on_small_graphs():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            elements = automorphism_group(g).generators
+            images = {t.image for t in elements}
+            # the listing is closed under composition, so it is a group
+            assert {tuple(map(a.__getitem__, b)) for a in images for b in images} == images
+            spec = PermGroupSpec(n, tuple(reduce_generators(elements)))
+            _check_listed_chain(spec, elements, 8)
+
+
+@given(groups_on_up_to_seven_points())
+@settings(max_examples=60, deadline=None)
+def test_listed_chain_matches_schreier_sims_random_groups(spec):
+    _check_listed_chain(spec, group_closure(spec), 8)
+
+
 @pytest.mark.parametrize(
     "n,d",
     [(n, d) for n in range(1, 9) for d in range(1, 5)] + [(40, 2), (100, 2), (2, 300)],
@@ -559,14 +602,19 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
         if len(aut.generators) == 16 and sorted(map(len, vertex_orbits(aut))) == [2, 4]:
             break
     spec = PermGroupSpec(6, tuple(reduce_generators(aut.generators)))
-    calls = []
-    eliminate = invariant_ring._eliminate
+    calls, built = [], set()
+    eliminate, row = invariant_ring._eliminate, invariant_ring._RingScan._row
 
     def record(rows, dim, prime, *args):
         calls.append((dim, prime is None))
         return eliminate(rows, dim, prime, *args)
 
+    def record_row(self, i, o, d):
+        built.add(d)
+        return row(self, i, o, d)
+
     monkeypatch.setattr(invariant_ring, "_eliminate", record)
+    monkeypatch.setattr(invariant_ring._RingScan, "_row", record_row)
     exact = generator_degrees(spec, 12, arithmetic="exact")
     # the invariant dimension grows at every degree, so it names the degree
     assert list(exact.dims) == sorted(set(exact.dims))
@@ -575,10 +623,14 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
     assert len(set(calls)) == len(calls)
     eliminated = {exact.dims.index(dim) + 1 for dim, _ in calls}
     new = {d for d, _ in exact.new_by_degree}
-    assert new < eliminated  # and some full-rank degree needed elimination
+    assert new < eliminated
+    # some full-rank degree built product rows to reduce
+    assert built - new
     calls.clear()
+    built.clear()
     modular = generator_degrees(spec, 12, arithmetic="modular")
     assert len(set(calls)) == len(calls)
+    assert built - new
     # every new generator was found by an exact pass
     assert new <= {exact.dims.index(dim) + 1 for dim, is_exact in calls if is_exact}
     assert dataclasses.replace(modular, arithmetic="exact") == exact
@@ -794,30 +846,28 @@ def test_check_conjectures_runs_one_canonical_search_per_graph():
     assert search.cache_info().misses == 3
 
 
-def test_check_conjectures_computes_vertex_orbits_once(monkeypatch):
-    # the scan's Hilbert numerator bound reads the orbits the report lists
-    sizes = []
-    kernel = permgroup._orbit_labels
-    monkeypatch.setattr(
-        permgroup, "_orbit_labels", lambda size, maps: sizes.append(size) or kernel(size, maps)
-    )
-    report = check_conjectures(graph(4, (0, 1), (1, 2)))
-    assert report.orbit_sizes == (2, 1, 1)
-    assert sizes == [4]
+def test_check_conjectures_reads_the_group_off_the_listing_alone(monkeypatch):
+    # the chain, the vertex orbits and the bound come from the one listing
+    # of the canonical search: no closure, no reduced generating set, no
+    # Schreier-Sims and no propagation kernel
+    hexagon = graph(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
+    cases = [(g, "full") for n in range(1, 5) for g in enumerate_graphs(n)]
+    cases += [(graph(4, (0, 1), (1, 2)), "2n"), (hexagon, "2n")]
+    reports = [check_conjectures(g, cap) for g, cap in cases]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was rebuilt from its listing")
 
-def test_check_conjectures_labels_monomial_orbits_without_the_propagation_kernel(monkeypatch):
-    # the vertex orbits are the kernel's one call: the scan labels each
-    # degree's monomial orbits through the generators' stabilizer chain
-    sizes = []
-    kernel = permgroup._orbit_labels
-    monkeypatch.setattr(
-        permgroup, "_orbit_labels", lambda size, maps: sizes.append(size) or kernel(size, maps)
-    )
+    names = ("_orbit_labels", "_closure", "_stabilizer_chain", "reduce_generators")
+    for module in (permgroup, invariant_ring, graphs):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert not hasattr(invariant_ring, "_orbit_labels")
-    report = check_conjectures(graph(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
-    assert (report.aut_order, report.orbit_sizes, report.verified_up_to) == (12, (6,), 12)
-    assert sizes == [6]
+    assert [check_conjectures(g, cap) for g, cap in cases] == reports
+    path, ring = reports[-2:]
+    assert path.orbit_sizes == (2, 1, 1)
+    assert (ring.aut_order, ring.orbit_sizes, ring.verified_up_to) == (12, (6,), 12)
 
 
 def test_vertex_transitive_verdicts_agree():
@@ -991,15 +1041,24 @@ def test_scan_cross_checks_each_dimension_against_molien(monkeypatch):
         generator_degrees(swap, 4, elements=group_closure(swap))
 
 
-def test_scan_checks_the_listed_order_against_the_generators_chain():
-    # the listed elements are S3's, the generators only a transposition's;
-    # the Molien series comes from the elements and the orbits from the
-    # generators, so the two certificates stay independent
+def test_scan_refuses_a_generator_the_listing_lacks():
+    # the listing is a group, the transposition (0 1)'s, but not the
+    # group of the spec, whose generator (1 2) it does not hold
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
-    s3 = young_generators(TypedNodeSet((3,)))
-    message = "stabilizer chain gives group order 2, but 6 elements are listed"
+    with pytest.raises(AssertionError, match=r"generator \(0, 2, 1\) is not a listed element"):
+        generator_degrees(S3, 4, elements=group_closure(swap))
+
+
+def test_scan_refuses_a_listing_whose_stabilizers_miscount():
+    # S3 less a 3-cycle: the five elements fix no point, but the two that
+    # fix 0 and its three cosets need six
+    elements = [g for g in group_closure(S3) if g.image != (1, 2, 0)]
+    message = "5 listed elements fix the points below 0, but their stabilizer chain needs 6"
     with pytest.raises(AssertionError, match=message):
-        generator_degrees(swap, 4, elements=group_closure(s3))
+        generator_degrees(S3, 4, elements=elements)
+    # the identity listed twice doubles every stabilizer
+    with pytest.raises(AssertionError, match="2 listed elements fix the points below 3"):
+        generator_degrees(S3, 4, elements=group_closure(S3) + [Permutation.identity(3)])
 
 
 # ----------------------------------------------------------------- sweep/IO
