@@ -368,6 +368,9 @@ class GeneratorDegreeResult:
     max_generator_degree: int
     dims: tuple[int, ...]  # invariant dimension at degrees 1..verified_up_to
     arithmetic: str
+    # vertex orbit sizes of a listed group, else (); read off the listing,
+    # not scanned, so two scans of one group compare equal with or without it
+    orbit_sizes: tuple[int, ...] = dataclasses.field(default=(), compare=False)
 
 
 class _Degree:
@@ -507,6 +510,7 @@ class _RingScan:
         self.budget = budget
         self.arithmetic = arithmetic
         self.molien = self.bound = None
+        self.orbit_sizes: tuple[int, ...] = ()
         if elements is None:
             chain = _stabilizer_chain(spec)
         else:
@@ -516,7 +520,8 @@ class _RingScan:
             if missing is not None:
                 raise AssertionError(f"generator {missing} is not a listed element")
             self.molien = _molien_from_elements(elements, cap)
-            self.bound = _generator_bound(self.molien, _listed_orbit_sizes(elements))
+            self.orbit_sizes = tuple(_listed_orbit_sizes(elements))
+            self.bound = _generator_bound(self.molien, self.orbit_sizes)
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
@@ -652,6 +657,7 @@ class _RingScan:
             max_generator_degree=self.gens[-1][0] if self.gens else 0,
             dims=tuple(len(degree.firsts) for degree in scanned),
             arithmetic=self.arithmetic,
+            orbit_sizes=self.orbit_sizes,
         )
 
 
@@ -675,7 +681,8 @@ def generator_degrees(
     reads its stabilizer chain and vertex orbits off that listing, checks
     that it holds every generator and that each stabilizer's element count
     matches its cosets, and checks every invariant dimension against the
-    cycle-index series of the listing."""
+    cycle-index series of the listing; the result's ``orbit_sizes`` are
+    the sizes of those vertex orbits, by smallest member."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:
@@ -762,12 +769,12 @@ def check_conjectures(
     if arithmetic == "auto":
         arithmetic = "exact" if n <= 5 else "modular"
     aut = automorphism_group(graph)
-    orbit_sizes = tuple(sorted(_listed_orbit_sizes(aut.generators), reverse=True))
-    max_orbit = orbit_sizes[0]
     cap = _resolve_cap(cap_policy, n)
     scan = generator_degrees(
         aut, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
     )
+    orbit_sizes = tuple(sorted(scan.orbit_sizes, reverse=True))
+    max_orbit = orbit_sizes[0]
     aut_order = len(aut.generators)
     full_cap = full_certification_cap(n)
     beta = scan.max_generator_degree

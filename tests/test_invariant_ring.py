@@ -846,6 +846,40 @@ def test_check_conjectures_runs_one_canonical_search_per_graph():
     assert search.cache_info().misses == 3
 
 
+def test_check_conjectures_computes_vertex_orbits_once(monkeypatch):
+    # the scan's Hilbert numerator bound reads the orbits the report lists
+    listed, bounded = [], []
+    count, bound = invariant_ring._listed_orbit_sizes, invariant_ring._generator_bound
+    monkeypatch.setattr(
+        invariant_ring,
+        "_listed_orbit_sizes",
+        lambda elements: listed.append(len(elements)) or count(elements),
+    )
+    monkeypatch.setattr(
+        invariant_ring,
+        "_generator_bound",
+        lambda molien, sizes: bounded.append(sorted(sizes)) or bound(molien, sizes),
+    )
+    report = check_conjectures(graph(4, (0, 1), (1, 2)))
+    assert report.orbit_sizes == (2, 1, 1)
+    assert listed == [2]
+    assert bounded == [[1, 1, 2]]
+
+
+def test_check_conjectures_labels_monomial_orbits_without_the_propagation_kernel(monkeypatch):
+    # the vertex orbits and the stabilizer chain that labels each degree's
+    # monomial orbits are both read off the listing: the kernel never runs
+    sizes = []
+    kernel = permgroup._orbit_labels
+    monkeypatch.setattr(
+        permgroup, "_orbit_labels", lambda size, maps: sizes.append(size) or kernel(size, maps)
+    )
+    assert not hasattr(invariant_ring, "_orbit_labels")
+    report = check_conjectures(graph(6, (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+    assert (report.aut_order, report.orbit_sizes, report.verified_up_to) == (12, (6,), 12)
+    assert sizes == []
+
+
 def test_check_conjectures_reads_the_group_off_the_listing_alone(monkeypatch):
     # the chain, the vertex orbits and the bound come from the one listing
     # of the canonical search: no closure, no reduced generating set, no
