@@ -69,8 +69,23 @@ module generators counted by the Hilbert numerator N(t) = H(t) * prod
 degree d holds at most B_d = N_d + #{O : |O| >= d} new generators, and
 where B_d = 0 the scan stops after the orbit count, its Molien cross-check
 and the product budget, before the cover.  Three checks guard the bound:
-N has no negative coefficient, N vanishes above sum |O|(|O|+1)/2 - n, and
-the new generators an exact pass finds never outnumber B_d.
+N has no negative coefficient, N vanishes above top = sum |O|(|O|-1)/2
+(the sum of the degrees of θ, less n), and the new generators an exact
+pass finds never outnumber B_d.
+
+Above T = max(top, max |O|) the scan labels no orbit at all: each degree
+there keeps its two budget refusals, records its product count P_d, and
+takes its dimension from the series.  No generator appears there, since
+both terms of B_d vanish, and no degree up to T reads a higher one: its
+cover and rows read the degrees d - deg g < d.  The dimensions there are
+the series values.  The group the stabilizer chain labels has the Hilbert
+series N'(t) / prod (1 - t^deg θ_i), N' a polynomial of degree at most
+top, since its invariant ring is a finite C[θ]-module (Hilbert and Serre)
+and each term of Molien's formula has degree -n.  The cross-checks through
+degree top make N' agree with N there, and both vanish above it, so the
+two series agree at every degree.  That needs θ built on the vertex orbits
+of the group the chain labels, so at degree 1, whose rows are the
+variables, the orbit sizes read off the labels must be the listing's.
 
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
@@ -136,6 +151,18 @@ def _width(degree: int) -> int:
 def _monomial_count(n: int, d: int) -> int:
     """The number of degree-d monomials on n variables, d >= 0."""
     return math.comb(n + d - 1, d) if n else int(d == 0)
+
+
+def _budgeted_monomial_count(n: int, d: int, budget: Budgets) -> int:
+    """``_monomial_count(n, d)``, refusing (``BudgetError``) a degree with
+    more monomials than the budget allows."""
+    count = _monomial_count(n, d)
+    if count > budget.monomials_per_degree:
+        raise BudgetError(
+            f"degree {d} has {count} monomials on {n} variables; "
+            f"budget is {budget.monomials_per_degree}"
+        )
+    return count
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,12 +262,7 @@ def _orbit_partition(
     n = spec.n
     if d < 0:
         raise ValueError(f"need degree >= 0, got {d}")
-    count = _monomial_count(n, d)
-    if count > budget.monomials_per_degree:
-        raise BudgetError(
-            f"degree {d} has {count} monomials on {n} variables; "
-            f"budget is {budget.monomials_per_degree}"
-        )
+    count = _budgeted_monomial_count(n, d, budget)
     degrees = (d,)
     if prev is None:
         prev, degrees = _chain_maps(_stabilizer_chain(spec)), range(1, d + 1)
@@ -332,6 +354,12 @@ def molien_hilbert_coeffs(
     return _molien_from_elements(elements, max_degree)
 
 
+def _numerator_degree(orbit_sizes: Sequence[int]) -> int:
+    """sum |O|(|O|-1)/2 over the vertex orbits O: the sum of the degrees
+    of θ less n, above which a Cohen-Macaulay Hilbert numerator vanishes."""
+    return sum(size * (size - 1) // 2 for size in orbit_sizes)
+
+
 def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
     """At index d >= 1, B_d: the most new generators degree d can hold,
     given the invariant dimensions ``molien`` at degrees 0..cap and the
@@ -346,7 +374,7 @@ def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[
         for k in range(1, size + 1):
             for i in range(len(numerator) - 1, k - 1, -1):
                 numerator[i] -= numerator[i - k]
-    top = sum(size * (size - 1) // 2 for size in orbit_sizes)
+    top = _numerator_degree(orbit_sizes)
     if min(numerator) < 0 or any(numerator[top + 1 :]):
         raise AssertionError(
             f"Hilbert numerator {numerator} is negative, or nonzero above degree {top}"
@@ -378,12 +406,12 @@ class _Degree:
     the label of each (the index of its orbit's lead among the monomials)
     and the index of each orbit's lead, ascending (int arrays, as
     ``_orbit_partition`` returns them).  The tables read off them are built
-    when first read, since a degree the Hilbert numerator settles needs
-    only the orbit count: ``ids``, the orbit of each monomial, numbered by
-    ascending lead index; ``leads``, the packed lead of each orbit;
-    ``col``, the orbit of each lead; ``orbit_of``, the orbit of each
-    monomial by its packed int; and ``members``, the monomials of each
-    orbit."""
+    when first read, since a degree where the Hilbert numerator allows no
+    new generator needs only the orbit count: ``ids``, the orbit of each
+    monomial, numbered by ascending lead index; ``leads``, the packed lead
+    of each orbit; ``col``, the orbit of each lead; ``orbit_of``, the orbit
+    of each monomial by its packed int; and ``members``, the monomials of
+    each orbit."""
 
     def __init__(self, monomials: np.ndarray, labels: np.ndarray, firsts: np.ndarray):
         self.monomials = monomials
@@ -481,18 +509,23 @@ def _eliminate(
 class _RingScan:
     """Degree-by-degree minimal-generator computation for one group.
 
-    ``degrees[d]`` is the one record of verified degree d, a ``_Degree``;
-    degree 0, the constant monomial alone, is built directly.  ``maps``
-    pairs each representative of the group's stabilizer chain with its map
-    on the rows of the last degree scanned, carried to the next.  Given the
-    group's elements, the scan reads the chain and the vertex orbit sizes
-    of its bound off them, and checks that they hold every generator of the
-    spec; given none, it builds the chain from the generators.  Each
-    generator found is held, in degree order, as its (degree, orbit) pair,
-    so its lead and its members are read from the record of its degree.
-    These records are the result.  ``products[e]`` is the number of
+    ``dims[d - 1]`` is the invariant dimension of verified degree d, so
+    ``len(dims)`` is the last degree verified.  The monomial orbits are
+    labelled at each degree up to ``labelled_to``: the cap, or for a listed
+    group max(sum |O|(|O|-1)/2, max |O|) over its vertex orbits O, above
+    which the Hilbert numerator settles each degree (see the module
+    docstring).  ``degrees[d]`` is the orbit record of labelled degree d,
+    a ``_Degree``; degree 0, the constant monomial alone, is built
+    directly.  ``maps`` pairs each representative of the group's
+    stabilizer chain with its map on the rows of the last degree labelled,
+    carried to the next.  Given the group's elements, the scan reads the
+    chain and the vertex orbit sizes of its bound off them, and checks
+    that they hold every generator of the spec; given none, it builds the
+    chain from the generators.  Each generator found is held, in degree
+    order, as its (degree, orbit) pair, so its lead and its members are
+    read from the record of its degree.  ``products[e]`` is the number of
     products of degree e of the generators found so far, a generator of
-    degree e alone counting as one; it gains one entry per degree scanned,
+    degree e alone counting as one; it gains one entry per degree verified,
     so the cap never sizes it."""
 
     def __init__(
@@ -511,6 +544,7 @@ class _RingScan:
         self.arithmetic = arithmetic
         self.molien = self.bound = None
         self.orbit_sizes: tuple[int, ...] = ()
+        self.labelled_to = cap
         if elements is None:
             chain = _stabilizer_chain(spec)
         else:
@@ -522,11 +556,13 @@ class _RingScan:
             self.molien = _molien_from_elements(elements, cap)
             self.orbit_sizes = tuple(_listed_orbit_sizes(elements))
             self.bound = _generator_bound(self.molien, self.orbit_sizes)
+            self.labelled_to = max((_numerator_degree(self.orbit_sizes), *self.orbit_sizes))
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
         self.gens: list[tuple[int, int]] = []
         self.products = [1]
+        self.dims: list[int] = []
 
     # ---- generator x orbit-sum rows
 
@@ -583,14 +619,34 @@ class _RingScan:
         degrees = collections.Counter(dg for dg, _ in self.gens)
         return sum(k * c * sum(self.products[d - k :: -k]) for k, c in degrees.items()) // d
 
+    def _budgeted_product_count(self, d: int) -> int:
+        """Append P_d to ``products`` and return it, refusing
+        (``BudgetError``) more products than the budget allows."""
+        products, limit = self._product_count(d), self.budget.tuple_enumeration
+        if products > limit:
+            raise BudgetError(f"more than {limit} generator products at degree {d}")
+        self.products.append(products)
+        return products
+
     def _scan_degree(self, d: int) -> None:
-        """Record degree d, once its orbit count passes the Molien
-        cross-check and its product count P_d the budget, and find its new
-        generators.  The cover's rows are independent products, so the cover
-        never outnumbers P_d (``AssertionError``); the elimination stops at
-        rank min(dim, P_d), so a cover that reaches it builds no row, and the
-        mod-p pass, which can prove only full rank, runs only where
-        P_d >= dim."""
+        """Verify degree d, refusing (``BudgetError``) more monomials or
+        generator products than the budget allows.
+
+        Above ``labelled_to`` no generator can appear and the dimension is
+        the series value, so the degree records P_d and that value and
+        builds nothing.  Up to it, the degree's orbit count must pass the
+        Molien cross-check, and at degree 1 the vertex orbit sizes read off
+        the labels must be the listing's (``AssertionError``); then its new
+        generators are found.  The cover's rows are independent products, so
+        the cover never outnumbers P_d (``AssertionError``); the elimination
+        stops at rank min(dim, P_d), so a cover that reaches it builds no
+        row, and the mod-p pass, which can prove only full rank, runs only
+        where P_d >= dim."""
+        if d > self.labelled_to:
+            _budgeted_monomial_count(self.n, d, self.budget)
+            self._budgeted_product_count(d)
+            self.dims.append(self.molien[d])
+            return
         labels, firsts, self.maps = _orbit_partition(self.spec, d, self.budget, self.maps)
         dim = len(firsts)
         if self.molien is not None and dim != self.molien[d]:
@@ -598,10 +654,16 @@ class _RingScan:
                 f"orbit count {dim} at degree {d} disagrees with the "
                 f"cycle-index series value {self.molien[d]}"
             )
-        products, limit = self._product_count(d), self.budget.tuple_enumeration
-        if products > limit:
-            raise BudgetError(f"more than {limit} generator products at degree {d}")
-        self.products.append(products)
+        if d == 1 and self.bound is not None:
+            # the degree-1 rows are the variables, so the orbits are the vertex orbits
+            sizes = tuple(np.bincount(labels)[firsts].tolist())
+            if sizes != self.orbit_sizes:
+                raise AssertionError(
+                    f"vertex orbit sizes {sizes} of the stabilizer chain differ "
+                    f"from the listing's {self.orbit_sizes}"
+                )
+        products = self._budgeted_product_count(d)
+        self.dims.append(dim)
         self.degrees.append(_Degree(_monomials(self.n, d, self.width), labels, firsts))
         if self.bound is not None and not self.bound[d]:
             # the Hilbert numerator allows no new generator here
@@ -648,14 +710,13 @@ class _RingScan:
                 self._scan_degree(d)
             except BudgetError:
                 break
-        scanned = self.degrees[1:]
         return GeneratorDegreeResult(
             n=self.n,
             cap=self.cap,
-            verified_up_to=len(scanned),
+            verified_up_to=len(self.dims),
             new_by_degree=tuple(collections.Counter(d for d, _ in self.gens).items()),
             max_generator_degree=self.gens[-1][0] if self.gens else 0,
-            dims=tuple(len(degree.firsts) for degree in scanned),
+            dims=tuple(self.dims),
             arithmetic=self.arithmetic,
             orbit_sizes=self.orbit_sizes,
         )
@@ -680,9 +741,12 @@ def generator_degrees(
     generators).  A given ``elements`` is taken to be the group: the scan
     reads its stabilizer chain and vertex orbits off that listing, checks
     that it holds every generator and that each stabilizer's element count
-    matches its cosets, and checks every invariant dimension against the
-    cycle-index series of the listing; the result's ``orbit_sizes`` are
-    the sizes of those vertex orbits, by smallest member."""
+    matches its cosets, and checks every invariant dimension through
+    max(top, max orbit), top the sum of |O|(|O|-1)/2 over the vertex
+    orbits O, against the cycle-index series of the listing; above it the
+    dimensions are the series values (see the module docstring).  The
+    result's ``orbit_sizes`` are the sizes of those vertex orbits, by
+    smallest member."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:

@@ -1055,6 +1055,8 @@ def test_scan_enforces_generator_bound(monkeypatch):
 
 
 def test_scan_cross_checks_each_dimension_against_molien(monkeypatch):
+    # the orbits {0, 1} and {2} give top 1, so degrees up to max(1, 2) = 2
+    # are labelled and cross-checked, the ones above read off the series;
     # the bound comes from the true series, so only the cross-check can fire
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
     real_series, real_bound = invariant_ring._molien_from_elements, invariant_ring._generator_bound
@@ -1093,6 +1095,109 @@ def test_scan_refuses_a_listing_whose_stabilizers_miscount():
     # the identity listed twice doubles every stabilizer
     with pytest.raises(AssertionError, match="2 listed elements fix the points below 3"):
         generator_degrees(S3, 4, elements=group_closure(S3) + [Permutation.identity(3)])
+
+
+def _settled_above(elements):
+    """max(sum |O|(|O|-1)/2, max |O|) over the listing's vertex orbits O:
+    above it no generator appears and the series gives each dimension."""
+    sizes = permgroup._listed_orbit_sizes(elements)
+    return max(sum(s * (s - 1) // 2 for s in sizes), max(sizes))
+
+
+def test_scan_checks_the_vertex_orbits_of_its_chain_against_the_listing(monkeypatch):
+    # orbit sizes [3] for the transposition (0 1) on 3 points give the
+    # numerator 1 + t + t^2, which the bound accepts, so only the degree-1
+    # check of the orbits the chain labels can fire
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    bound = invariant_ring._generator_bound(molien_hilbert_coeffs(swap, 4), [3])
+    assert bound[1:] == [2, 2, 1, 0]
+    monkeypatch.setattr(invariant_ring, "_listed_orbit_sizes", lambda elements: [3])
+    message = (
+        r"vertex orbit sizes \(2, 1\) of the stabilizer chain differ from the listing's \(3,\)"
+    )
+    with pytest.raises(AssertionError, match=message):
+        generator_degrees(swap, 4, elements=group_closure(swap))
+
+
+def test_listed_scans_label_orbits_up_to_the_settled_degree_alone(monkeypatch):
+    labelled = []
+    real = invariant_ring._orbit_partition
+
+    def hooked(spec, d, budget, prev=None):
+        labelled.append(d)
+        return real(spec, d, budget, prev)
+
+    monkeypatch.setattr(invariant_ring, "_orbit_partition", hooked)
+    for spec, elements, cap in _scan_cases():
+        for listing, last in ((elements, min(cap, _settled_above(elements))), (None, cap)):
+            labelled.clear()
+            generator_degrees(spec, cap, arithmetic="modular", elements=listing)
+            assert labelled == list(range(1, last + 1)), (spec, listing is None)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_every_star_dimension_is_checked_against_the_series(monkeypatch, degree):
+    # the star's vertex orbits have sizes 3 and 1, so the settled degrees
+    # start above 3: below, a series value one too high fails the orbit
+    # count's cross-check (the bound kept true); above, it leaves the Hilbert
+    # numerator nonzero above degree 3
+    elements = group_closure(STAR_GROUP)
+    assert _settled_above(elements) == 3
+    real_series, real_bound = invariant_ring._molien_from_elements, invariant_ring._generator_bound
+    true = real_series(elements, 6)
+
+    def one_high(elements, max_degree):
+        series = list(real_series(elements, max_degree))
+        series[degree] += 1
+        return tuple(series)
+
+    monkeypatch.setattr(invariant_ring, "_molien_from_elements", one_high)
+    if degree <= 3:
+        monkeypatch.setattr(invariant_ring, "_generator_bound", lambda _, s: real_bound(true, s))
+        message = f"orbit count {true[degree]} at degree {degree} disagrees"
+    else:
+        message = "nonzero above degree 3"
+    with pytest.raises(AssertionError, match=message):
+        generator_degrees(STAR_GROUP, 6, elements=elements)
+
+
+@pytest.mark.parametrize("kind", ["monomials_per_degree", "tuple_enumeration"])
+def test_budgets_stop_a_settled_degree_as_they_stop_a_labelled_one(monkeypatch, kind):
+    # each budget first bites at two above the last labelled degree, where
+    # a listed scan builds no orbit and an unlisted one labels them all
+    refusals = []
+    real = invariant_ring._RingScan._scan_degree
+
+    def recorded(self, d):
+        try:
+            real(self, d)
+        except BudgetError as error:
+            refusals.append(str(error))
+            raise
+
+    monkeypatch.setattr(invariant_ring._RingScan, "_scan_degree", recorded)
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    for spec in (swap, C3, STAR_GROUP, young_generators(TypedNodeSet((2, 2)))):
+        elements = group_closure(spec)
+        d = _settled_above(elements) + 2
+        if kind == "monomials_per_degree":
+            limit = invariant_ring._monomial_count(spec.n, d - 1)
+            count = invariant_ring._monomial_count(spec.n, d)
+            message = f"degree {d} has {count} monomials on {spec.n} variables; budget is {limit}"
+        else:
+            found = generator_degrees(spec, d).new_by_degree
+            degrees = [dg for dg, count in found for _ in range(count)]
+            limit = invariant_ring._series(degrees, d)[d - 1]
+            message = f"more than {limit} generator products at degree {d}"
+        budget = Budgets(**{kind: limit})
+        refusals.clear()
+        results = [
+            generator_degrees(spec, d + 2, budget=budget, elements=listing)
+            for listing in (elements, None)
+        ]
+        assert [r.verified_up_to for r in results] == [d - 1, d - 1], spec
+        assert results[0] == results[1]
+        assert refusals == [message, message]
 
 
 # ----------------------------------------------------------------- sweep/IO
