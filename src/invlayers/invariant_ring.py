@@ -73,19 +73,27 @@ N has no negative coefficient, N vanishes above top = sum |O|(|O|-1)/2
 (the sum of the degrees of θ, less n), and the new generators an exact
 pass finds never outnumber B_d.
 
-Above T = max(top, max |O|) the scan labels no orbit at all: each degree
-there keeps its two budget refusals, records its product count P_d, and
-takes its dimension from the series.  No generator appears there, since
-both terms of B_d vanish, and no degree up to T reads a higher one: its
-cover and rows read the degrees d - deg g < d.  The dimensions there are
-the series values.  The group the stabilizer chain labels has the Hilbert
-series N'(t) / prod (1 - t^deg θ_i), N' a polynomial of degree at most
-top, since its invariant ring is a finite C[θ]-module (Hilbert and Serre)
-and each term of Molien's formula has degree -n.  The cross-checks through
-degree top make N' agree with N there, and both vanish above it, so the
-two series agree at every degree.  That needs θ built on the vertex orbits
-of the group the chain labels, so at degree 1, whose rows are the
-variables, the orbit sizes read off the labels must be the listing's.
+The series is taken through top at least, which fixes all of N: each of
+its terms times prod (1 - t^deg θ_i) is a polynomial of degree top.  Above
+D_G = max(deg N, max |O|) the scan labels no orbit at all: each degree
+there keeps its two budget refusals, reads its product count P_d off one
+series over the generators, and takes its dimension from the series.  No
+generator appears there, since both terms of B_d vanish, and no degree up
+to D_G reads a higher one: its cover and rows read the degrees
+d - deg g < d.  The dimensions there are the series values.  Let H be the
+group the stabilizer chain labels and N' its numerator, which has no
+negative coefficient, R^H being Cohen-Macaulay.  The chain's read-off
+checks that the identity is listed once and that each stabilizer's element
+count matches its cosets, so |H| is the listing's length |S|; degree 1,
+whose rows are the variables, checks that the vertex orbits H labels are
+the listing's, so θ serves H too.  The module rank is then N'(1) = prod
+|O|! / |H|, since θ has degrees 1..|O| on each orbit (Derksen and Kemper,
+Computational Invariant Theory, 3.3), and the first settled degree checks
+N(1) * |S| = prod |O|! (in the listing's own series only the identity's
+term has a pole of order n at t = 1).  The cross-checks through D_G make
+N'_i = N_i for i <= D_G, so those coefficients of N' already sum to
+N'(1), and the ones above, none negative, vanish: N' = N, and the two
+series agree at every degree.
 
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
@@ -360,20 +368,27 @@ def _numerator_degree(orbit_sizes: Sequence[int]) -> int:
     return sum(size * (size - 1) // 2 for size in orbit_sizes)
 
 
-def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
-    """At index d >= 1, B_d: the most new generators degree d can hold,
-    given the invariant dimensions ``molien`` at degrees 0..cap and the
-    sizes of the vertex orbits (see the module docstring).
-
-    The numerator N = H * prod over orbits O of prod_{k=1..|O|} (1 - t^k)
-    is truncated at the cap; B_d = N_d + #{O : |O| >= d}.  Raises
-    ``AssertionError`` where N is negative, or nonzero above
-    sum |O|(|O|+1)/2 - n, which no Cohen-Macaulay ring allows."""
+def _hilbert_numerator(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
+    """The Hilbert numerator N = H * prod over orbits O of
+    prod_{k=1..|O|} (1 - t^k), H the invariant dimensions ``molien``,
+    truncated at the last degree ``molien`` holds."""
     numerator = list(molien)
     for size in orbit_sizes:
         for k in range(1, size + 1):
             for i in range(len(numerator) - 1, k - 1, -1):
                 numerator[i] -= numerator[i - k]
+    return numerator
+
+
+def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
+    """At index d >= 1, B_d: the most new generators degree d can hold,
+    given the invariant dimensions ``molien`` from degree 0 to the cap or
+    beyond and the sizes of the vertex orbits (see the module docstring).
+
+    B_d = N_d + #{O : |O| >= d}, N the Hilbert numerator.  Raises
+    ``AssertionError`` where N is negative, or nonzero above
+    sum |O|(|O|+1)/2 - n, which no Cohen-Macaulay ring allows."""
+    numerator = _hilbert_numerator(molien, orbit_sizes)
     top = _numerator_degree(orbit_sizes)
     if min(numerator) < 0 or any(numerator[top + 1 :]):
         raise AssertionError(
@@ -512,21 +527,23 @@ class _RingScan:
     ``dims[d - 1]`` is the invariant dimension of verified degree d, so
     ``len(dims)`` is the last degree verified.  The monomial orbits are
     labelled at each degree up to ``labelled_to``: the cap, or for a listed
-    group max(sum |O|(|O|-1)/2, max |O|) over its vertex orbits O, above
-    which the Hilbert numerator settles each degree (see the module
-    docstring).  ``degrees[d]`` is the orbit record of labelled degree d,
-    a ``_Degree``; degree 0, the constant monomial alone, is built
-    directly.  ``maps`` pairs each representative of the group's
-    stabilizer chain with its map on the rows of the last degree labelled,
-    carried to the next.  Given the group's elements, the scan reads the
-    chain and the vertex orbit sizes of its bound off them, and checks
-    that they hold every generator of the spec; given none, it builds the
-    chain from the generators.  Each generator found is held, in degree
-    order, as its (degree, orbit) pair, so its lead and its members are
-    read from the record of its degree.  ``products[e]`` is the number of
+    group D_G = max(deg N, max |O|), N the Hilbert numerator and O the
+    vertex orbits, above which the series settles each degree (see the
+    module docstring); ``rank`` holds N(1) and the listing's length for the
+    check the first settled degree makes.  ``degrees[d]`` is the orbit
+    record of labelled degree d, a ``_Degree``; degree 0, the constant
+    monomial alone, is built directly.  ``maps`` pairs each representative
+    of the group's stabilizer chain with its map on the rows of the last
+    degree labelled, carried to the next.  Given the group's elements, the
+    scan reads the chain and the vertex orbit sizes of its bound off them,
+    and checks that they hold every generator of the spec; given none, it
+    builds the chain from the generators.  Each generator found is held, in
+    degree order, as its (degree, orbit) pair, so its lead and its members
+    are read from the record of its degree.  ``products[e]`` is the number of
     products of degree e of the generators found so far, a generator of
-    degree e alone counting as one; it gains one entry per degree verified,
-    so the cap never sizes it."""
+    degree e alone counting as one; it gains one entry per degree labelled,
+    and at the first settled degree, every generator found, it becomes one
+    series through the cap."""
 
     def __init__(
         self,
@@ -553,10 +570,15 @@ class _RingScan:
             missing = next((g.image for g in spec.generators if g.image not in listed), None)
             if missing is not None:
                 raise AssertionError(f"generator {missing} is not a listed element")
-            self.molien = _molien_from_elements(elements, cap)
             self.orbit_sizes = tuple(_listed_orbit_sizes(elements))
+            # the series through top fixes the whole numerator
+            top = _numerator_degree(self.orbit_sizes)
+            self.molien = _molien_from_elements(elements, max(cap, top))
             self.bound = _generator_bound(self.molien, self.orbit_sizes)
-            self.labelled_to = max((_numerator_degree(self.orbit_sizes), *self.orbit_sizes))
+            numerator = _hilbert_numerator(self.molien, self.orbit_sizes)
+            self.rank = sum(numerator), len(elements)
+            degree = max(d for d, c in enumerate(numerator) if c)
+            self.labelled_to = max((degree, *self.orbit_sizes))
         zero = np.zeros(1, dtype=np.intp)
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
@@ -620,21 +642,26 @@ class _RingScan:
         return sum(k * c * sum(self.products[d - k :: -k]) for k, c in degrees.items()) // d
 
     def _budgeted_product_count(self, d: int) -> int:
-        """Append P_d to ``products`` and return it, refusing
-        (``BudgetError``) more products than the budget allows."""
-        products, limit = self._product_count(d), self.budget.tuple_enumeration
+        """P_d, refusing (``BudgetError``) more products than the budget
+        allows: at a labelled degree, the last entry of ``products``, so it
+        is counted and appended; at a settled one, already there."""
+        if d == len(self.products):
+            self.products.append(self._product_count(d))
+        products, limit = self.products[d], self.budget.tuple_enumeration
         if products > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
-        self.products.append(products)
         return products
 
     def _scan_degree(self, d: int) -> None:
         """Verify degree d, refusing (``BudgetError``) more monomials or
         generator products than the budget allows.
 
-        Above ``labelled_to`` no generator can appear and the dimension is
-        the series value, so the degree records P_d and that value and
-        builds nothing.  Up to it, the degree's orbit count must pass the
+        Above ``labelled_to``, D_G, no generator can appear and the
+        dimension is the series value, so the degree builds nothing: it
+        reads P_d and that value.  The first such degree checks the module
+        rank, N(1) * |G| = prod |O|! (``AssertionError``), and extends
+        ``products`` through the cap by one series over the generators, all
+        of them found.  Up to D_G, the degree's orbit count must pass the
         Molien cross-check, and at degree 1 the vertex orbit sizes read off
         the labels must be the listing's (``AssertionError``); then its new
         generators are found.  The cover's rows are independent products, so
@@ -643,6 +670,14 @@ class _RingScan:
         row, and the mod-p pass, which can prove only full rank, runs only
         where P_d >= dim."""
         if d > self.labelled_to:
+            if d == self.labelled_to + 1:
+                rank, order = self.rank
+                if rank * order != math.prod(map(math.factorial, self.orbit_sizes)):
+                    raise AssertionError(
+                        f"Hilbert numerator sum {rank} times the group order {order} "
+                        f"differs from the product of the factorials of {self.orbit_sizes}"
+                    )
+                self.products = _series((dg for dg, _ in self.gens), self.cap)
             _budgeted_monomial_count(self.n, d, self.budget)
             self._budgeted_product_count(d)
             self.dims.append(self.molien[d])
@@ -742,9 +777,9 @@ def generator_degrees(
     reads its stabilizer chain and vertex orbits off that listing, checks
     that it holds every generator and that each stabilizer's element count
     matches its cosets, and checks every invariant dimension through
-    max(top, max orbit), top the sum of |O|(|O|-1)/2 over the vertex
-    orbits O, against the cycle-index series of the listing; above it the
-    dimensions are the series values (see the module docstring).  The
+    D_G = max(deg N, max |O|), N the Hilbert numerator of the listing's
+    cycle-index series and O its vertex orbits, against that series; above
+    D_G the dimensions are the series values (see the module docstring).  The
     result's ``orbit_sizes`` are the sizes of those vertex orbits, by
     smallest member."""
     if arithmetic not in ("exact", "modular"):

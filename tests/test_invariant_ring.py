@@ -1097,11 +1097,17 @@ def test_scan_refuses_a_listing_whose_stabilizers_miscount():
         generator_degrees(S3, 4, elements=group_closure(S3) + [Permutation.identity(3)])
 
 
-def _settled_above(elements):
-    """max(sum |O|(|O|-1)/2, max |O|) over the listing's vertex orbits O:
-    above it no generator appears and the series gives each dimension."""
+def _settled_above(spec, elements):
+    """D_G = max(deg N, max |O|) over the listing's vertex orbits O, N the
+    Hilbert numerator, which vanishes above sum |O|(|O|-1)/2: above D_G no
+    generator appears and the series gives each dimension."""
     sizes = permgroup._listed_orbit_sizes(elements)
-    return max(sum(s * (s - 1) // 2 for s in sizes), max(sizes))
+    numerator = list(molien_hilbert_coeffs(spec, sum(s * (s - 1) // 2 for s in sizes)))
+    for s in sizes:
+        for k in range(1, s + 1):
+            # times (1 - t^k)
+            numerator = [c - (numerator[i - k] if i >= k else 0) for i, c in enumerate(numerator)]
+    return max(max(i for i, c in enumerate(numerator) if c), *sizes)
 
 
 def test_scan_checks_the_vertex_orbits_of_its_chain_against_the_listing(monkeypatch):
@@ -1119,7 +1125,8 @@ def test_scan_checks_the_vertex_orbits_of_its_chain_against_the_listing(monkeypa
         generator_degrees(swap, 4, elements=group_closure(swap))
 
 
-def test_listed_scans_label_orbits_up_to_the_settled_degree_alone(monkeypatch):
+def _record_labelled_degrees(monkeypatch):
+    """The degrees ``_orbit_partition`` labels from now on, in call order."""
     labelled = []
     real = invariant_ring._orbit_partition
 
@@ -1128,11 +1135,87 @@ def test_listed_scans_label_orbits_up_to_the_settled_degree_alone(monkeypatch):
         return real(spec, d, budget, prev)
 
     monkeypatch.setattr(invariant_ring, "_orbit_partition", hooked)
+    return labelled
+
+
+def test_listed_scans_label_orbits_up_to_the_settled_degree_alone(monkeypatch):
+    labelled = _record_labelled_degrees(monkeypatch)
     for spec, elements, cap in _scan_cases():
-        for listing, last in ((elements, min(cap, _settled_above(elements))), (None, cap)):
+        settled_above = _settled_above(spec, elements)
+        for listing, last in ((elements, min(cap, settled_above)), (None, cap)):
             labelled.clear()
             generator_degrees(spec, cap, arithmetic="modular", elements=listing)
             assert labelled == list(range(1, last + 1)), (spec, listing is None)
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        # D5: N = 1 + t^2 + t^3 + 2t^4 + 2t^5 + 2t^6 + t^7 + t^8 + t^10
+        (graph(5, (0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 9),
+        # the net, S3 on a triangle and its pendants: N = 1 + t^2 + 2t^3 + t^4 + t^6
+        (graph(6, (0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)), 5),
+    ],
+)
+def test_a_numerator_gap_at_the_cap_settles_no_degree(monkeypatch, g, cap):
+    # N vanishes at the cap but not above it, so D_G > cap: a numerator read
+    # off the series only up to the cap would settle the cap's degree
+    labelled = _record_labelled_degrees(monkeypatch)
+    check_conjectures(g, cap)
+    assert labelled == list(range(1, cap + 1))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_complete_and_empty_graphs_label_orbits_through_n_alone(monkeypatch, n):
+    # Aut = S_n: the numerator is 1, so D_G = n, far below sum |O|(|O|-1)/2
+    labelled = _record_labelled_degrees(monkeypatch)
+    for g in (complete_graph(n), graph(n)):
+        labelled.clear()
+        report = check_conjectures(g, "full")
+        assert labelled == list(range(1, n + 1))
+        assert report.new_by_degree == tuple((d, 1) for d in range(1, n + 1))
+        assert report.verified_up_to == full_certification_cap(n)
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_series_between_the_settled_degree_and_top_stays_guarded(monkeypatch, degree):
+    # S_4 has D_G 4 and sum |O|(|O|-1)/2 = 6: degrees 5 and 6 are settled
+    # from the series at cap 8, and a value one too high at either leaves
+    # the numerator negative above it
+    s4 = young_generators(TypedNodeSet((4,)))
+    elements = group_closure(s4)
+    assert _settled_above(s4, elements) == 4
+    real_series = invariant_ring._molien_from_elements
+
+    def one_high(elements, max_degree):
+        series = list(real_series(elements, max_degree))
+        series[degree] += 1
+        return tuple(series)
+
+    monkeypatch.setattr(invariant_ring, "_molien_from_elements", one_high)
+    with pytest.raises(AssertionError, match="Hilbert numerator"):
+        generator_degrees(s4, 8, elements=elements)
+
+
+def test_scan_checks_the_module_rank_before_it_settles_a_degree(monkeypatch):
+    # the transposition (0 1) on 3 points has D_G 2 and N = 1, so
+    # N(1) * |G| = 2 = 2! * 1!; a numerator one too high at degree 0 leaves
+    # D_G and the bound as they are, and only the rank check can fire
+    swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
+    elements = group_closure(swap)
+    real = invariant_ring._hilbert_numerator
+
+    def one_high_at_degree_zero(molien, orbit_sizes):
+        numerator = real(molien, orbit_sizes)
+        numerator[0] += 1
+        return numerator
+
+    monkeypatch.setattr(invariant_ring, "_hilbert_numerator", one_high_at_degree_zero)
+    # at cap 2 no degree is settled, so nothing reads the rank
+    assert generator_degrees(swap, 2, elements=elements) == generator_degrees(swap, 2)
+    message = r"Hilbert numerator sum 2 times the group order 2 differs .* \(2, 1\)"
+    with pytest.raises(AssertionError, match=message):
+        generator_degrees(swap, 4, elements=elements)
 
 
 @pytest.mark.parametrize("degree", range(1, 7))
@@ -1142,7 +1225,7 @@ def test_every_star_dimension_is_checked_against_the_series(monkeypatch, degree)
     # count's cross-check (the bound kept true); above, it leaves the Hilbert
     # numerator nonzero above degree 3
     elements = group_closure(STAR_GROUP)
-    assert _settled_above(elements) == 3
+    assert _settled_above(STAR_GROUP, elements) == 3
     real_series, real_bound = invariant_ring._molien_from_elements, invariant_ring._generator_bound
     true = real_series(elements, 6)
 
@@ -1179,7 +1262,7 @@ def test_budgets_stop_a_settled_degree_as_they_stop_a_labelled_one(monkeypatch, 
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
     for spec in (swap, C3, STAR_GROUP, young_generators(TypedNodeSet((2, 2)))):
         elements = group_closure(spec)
-        d = _settled_above(elements) + 2
+        d = _settled_above(spec, elements) + 2
         if kind == "monomials_per_degree":
             limit = invariant_ring._monomial_count(spec.n, d - 1)
             count = invariant_ring._monomial_count(spec.n, d)
@@ -1298,7 +1381,9 @@ def test_sweep_accepts_explicit_graphs():
 # the generator x orbit-sum rows replaced: the seeded random groups (n <= 6,
 # cap 2n, full groups listed, so every dimension is checked against Molien)
 # and the CSV of `conjectures --nmax 6 --cap 2n --arith modular`.  The CSV of
-# `conjectures --nmax 6 --cap full` was frozen before the product-count bound.
+# `conjectures --nmax 6 --cap full` was frozen before the product-count bound,
+# and the n = 7 cap-full CSV less the two D7 classes before a listed scan
+# stopped labelling orbits at D_G.
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -1331,6 +1416,17 @@ def test_six_vertex_full_cap_sweep_csv_frozen():
     # auto arithmetic: n <= 5 exact, n = 6 modular
     result = sweep(6, "full")
     expected = (DATA / "conjectures_n6_capfull.csv").read_text(encoding="utf-8")
+    assert invariant_ring.reports_csv_text(result.reports) == expected
+
+
+def test_seven_vertex_full_cap_csv_frozen_less_the_dihedral_classes():
+    # every n = 7 class but C7 and its complement, whose group D7 has D_G
+    # 18: each is labelled to its D_G and settled from the series up to 21
+    dihedral = {"F@Ue?", "FLvn_"}
+    classes = [g for g in enumerate_graphs(7) if graphs.write_graph6(g) not in dihedral]
+    assert len(classes) == 1042
+    result = sweep(7, "full", graphs=classes)
+    expected = (DATA / "conjectures_n7_capfull_less_d7.csv").read_text(encoding="utf-8")
     assert invariant_ring.reports_csv_text(result.reports) == expected
 
 
