@@ -59,41 +59,39 @@ cannot be, and the pass is skipped).  Otherwise one exact pass runs
 (fraction-free, with content stripping), and the orbits whose columns hold
 no pivot are the new generators.
 
-When the scan is given the group's elements, many degrees need no rank at
-all.  The elementary symmetric polynomials of each vertex orbit O, of
-degrees 1..|O|, form a homogeneous system of parameters θ.  In
+When the scan is given the group's elements, the high degrees need no
+orbit at all.  The elementary symmetric polynomials of each vertex orbit
+O, of degrees 1..|O|, form a homogeneous system of parameters θ.  In
 characteristic 0 the invariant ring is Cohen-Macaulay (Hochster and Eagon,
 Amer. J. Math. 93, 1971), hence a free C[θ]-module, generated by θ and by
 module generators counted by the Hilbert numerator N(t) = H(t) * prod
 (1 - t^deg θ_i), H the cycle-index series (Stanley, Bull. AMS 1, 1979).  So
 degree d holds at most B_d = N_d + #{O : |O| >= d} new generators, and
-where B_d = 0 the scan stops after the orbit count, its Molien cross-check
-and the product budget, before the cover.  Three checks guard the bound:
-N has no negative coefficient, N vanishes above top = sum |O|(|O|-1)/2
-(the sum of the degrees of θ, less n), and the new generators an exact
-pass finds never outnumber B_d.
+none above D_G = max(deg N, max |O|), where both terms vanish.  Three
+checks guard the bound: N has no negative coefficient, N vanishes above
+top = sum |O|(|O|-1)/2 (the sum of the degrees of θ, less n), and the new
+generators an exact pass finds never outnumber B_d.  The series is taken
+through top at least, which fixes all of N: each of its terms times prod
+(1 - t^deg θ_i) is a polynomial of degree top.
 
-The series is taken through top at least, which fixes all of N: each of
-its terms times prod (1 - t^deg θ_i) is a polynomial of degree top.  Above
-D_G = max(deg N, max |O|) the scan labels no orbit at all: each degree
-there keeps its two budget refusals, reads its product count P_d off one
-series over the generators, and takes its dimension from the series.  No
-generator appears there, since both terms of B_d vanish, and no degree up
-to D_G reads a higher one: its cover and rows read the degrees
-d - deg g < d.  The dimensions there are the series values.  Let H be the
-group the stabilizer chain labels and N' its numerator, which has no
-negative coefficient, R^H being Cohen-Macaulay.  The chain's read-off
-checks that the identity is listed once and that each stabilizer's element
-count matches its cosets, so |H| is the listing's length |S|; degree 1,
-whose rows are the variables, checks that the vertex orbits H labels are
-the listing's, so θ serves H too.  The module rank is then N'(1) = prod
-|O|! / |H|, since θ has degrees 1..|O| on each orbit (Derksen and Kemper,
-Computational Invariant Theory, 3.3), and the first settled degree checks
-N(1) * |S| = prod |O|! (in the listing's own series only the identity's
-term has a pole of order n at t = 1).  The cross-checks through D_G make
-N'_i = N_i for i <= D_G, so those coefficients of N' already sum to
-N'(1), and the ones above, none negative, vanish: N' = N, and the two
-series agree at every degree.
+Each degree up to D_G is labelled and certified as above.  Above D_G the
+scan labels no orbit: each degree there keeps its two budget refusals,
+reads its product count P_d off one series over the generators, and takes
+its dimension from the series.  No degree up to D_G reads a higher one:
+its cover and rows read the degrees d - deg g < d.  The dimensions there
+are the series values.  Let H be the group the stabilizer chain labels
+and N' its numerator, which has no negative coefficient, R^H being
+Cohen-Macaulay.  The chain's read-off checks that the identity is listed
+once and that each stabilizer's element count matches its cosets, so |H|
+is the listing's length |S|; degree 1, whose rows are the variables,
+checks that the vertex orbits H labels are the listing's, so θ serves H
+too.  The module rank is then N'(1) = prod |O|! / |H|, since θ has degrees
+1..|O| on each orbit (Derksen and Kemper, Computational Invariant Theory,
+3.3), and the first settled degree checks N(1) * |S| = prod |O|! (in the
+listing's own series only the identity's term has a pole of order n at
+t = 1).  The cross-checks through D_G make N'_i = N_i for i <= D_G, so
+those coefficients of N' already sum to N'(1), and the ones above, none
+negative, vanish: N' = N, and the two series agree at every degree.
 
 The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
@@ -380,15 +378,13 @@ def _hilbert_numerator(molien: Sequence[int], orbit_sizes: Sequence[int]) -> lis
     return numerator
 
 
-def _generator_bound(molien: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
-    """At index d >= 1, B_d: the most new generators degree d can hold,
-    given the invariant dimensions ``molien`` from degree 0 to the cap or
-    beyond and the sizes of the vertex orbits (see the module docstring).
-
-    B_d = N_d + #{O : |O| >= d}, N the Hilbert numerator.  Raises
-    ``AssertionError`` where N is negative, or nonzero above
-    sum |O|(|O|+1)/2 - n, which no Cohen-Macaulay ring allows."""
-    numerator = _hilbert_numerator(molien, orbit_sizes)
+def _generator_bound(numerator: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
+    """At index d >= 1, B_d = N_d + #{O : |O| >= d}: the most new
+    generators degree d can hold, given the Hilbert numerator N from
+    degree 0 to the cap or beyond and the sizes of the vertex orbits O
+    (see the module docstring).  Raises ``AssertionError`` where N is
+    negative, or nonzero above sum |O|(|O|-1)/2, which no Cohen-Macaulay
+    ring allows."""
     top = _numerator_degree(orbit_sizes)
     if min(numerator) < 0 or any(numerator[top + 1 :]):
         raise AssertionError(
@@ -421,12 +417,12 @@ class _Degree:
     the label of each (the index of its orbit's lead among the monomials)
     and the index of each orbit's lead, ascending (int arrays, as
     ``_orbit_partition`` returns them).  The tables read off them are built
-    when first read, since a degree where the Hilbert numerator allows no
-    new generator needs only the orbit count: ``ids``, the orbit of each
-    monomial, numbered by ascending lead index; ``leads``, the packed lead
-    of each orbit; ``col``, the orbit of each lead; ``orbit_of``, the orbit
-    of each monomial by its packed int; and ``members``, the monomials of
-    each orbit."""
+    when first read, since most degrees are settled by their cover, which
+    reads ``leads`` and ``col`` alone, and build no row: ``ids``, the orbit
+    of each monomial, numbered by ascending lead index; ``leads``, the
+    packed lead of each orbit; ``col``, the orbit of each lead;
+    ``orbit_of``, the orbit of each monomial by its packed int; and
+    ``members``, the monomials of each orbit."""
 
     def __init__(self, monomials: np.ndarray, labels: np.ndarray, firsts: np.ndarray):
         self.monomials = monomials
@@ -527,12 +523,11 @@ class _RingScan:
     ``dims[d - 1]`` is the invariant dimension of verified degree d, so
     ``len(dims)`` is the last degree verified.  The monomial orbits are
     labelled at each degree up to ``labelled_to``: the cap, or for a listed
-    group D_G = max(deg N, max |O|), N the Hilbert numerator and O the
-    vertex orbits, above which the series settles each degree (see the
-    module docstring); ``rank`` holds N(1) and the listing's length for the
-    check the first settled degree makes.  ``degrees[d]`` is the orbit
-    record of labelled degree d, a ``_Degree``; degree 0, the constant
-    monomial alone, is built directly.  ``maps`` pairs each representative
+    group D_G (see the module docstring); ``bound`` holds B_d, and
+    ``rank`` N(1) and the listing's length, all read off one Hilbert
+    numerator N.  ``degrees[d]`` is the orbit record of labelled degree d,
+    a ``_Degree``; degree 0, the constant monomial alone, is built
+    directly.  ``maps`` pairs each representative
     of the group's stabilizer chain with its map on the rows of the last
     degree labelled, carried to the next.  Given the group's elements, the
     scan reads the chain and the vertex orbit sizes of its bound off them,
@@ -574,8 +569,8 @@ class _RingScan:
             # the series through top fixes the whole numerator
             top = _numerator_degree(self.orbit_sizes)
             self.molien = _molien_from_elements(elements, max(cap, top))
-            self.bound = _generator_bound(self.molien, self.orbit_sizes)
             numerator = _hilbert_numerator(self.molien, self.orbit_sizes)
+            self.bound = _generator_bound(numerator, self.orbit_sizes)
             self.rank = sum(numerator), len(elements)
             degree = max(d for d, c in enumerate(numerator) if c)
             self.labelled_to = max((degree, *self.orbit_sizes))
@@ -656,15 +651,15 @@ class _RingScan:
         """Verify degree d, refusing (``BudgetError``) more monomials or
         generator products than the budget allows.
 
-        Above ``labelled_to``, D_G, no generator can appear and the
-        dimension is the series value, so the degree builds nothing: it
-        reads P_d and that value.  The first such degree checks the module
-        rank, N(1) * |G| = prod |O|! (``AssertionError``), and extends
+        Above ``labelled_to`` the degree builds nothing: it reads P_d and
+        the series value.  The first such degree checks the module rank,
+        N(1) * |S| = prod |O|! (``AssertionError``), and extends
         ``products`` through the cap by one series over the generators, all
-        of them found.  Up to D_G, the degree's orbit count must pass the
-        Molien cross-check, and at degree 1 the vertex orbit sizes read off
-        the labels must be the listing's (``AssertionError``); then its new
-        generators are found.  The cover's rows are independent products, so
+        of them found.  Up to ``labelled_to``, the degree's orbit count must
+        pass the Molien cross-check, and at degree 1 the vertex orbit sizes
+        read off the labels must be the listing's (``AssertionError``); then
+        its new generators are found, never more than B_d
+        (``AssertionError``).  The cover's rows are independent products, so
         the cover never outnumbers P_d (``AssertionError``); the elimination
         stops at rank min(dim, P_d), so a cover that reaches it builds no
         row, and the mod-p pass, which can prove only full rank, runs only
@@ -700,9 +695,6 @@ class _RingScan:
         products = self._budgeted_product_count(d)
         self.dims.append(dim)
         self.degrees.append(_Degree(_monomials(self.n, d, self.width), labels, firsts))
-        if self.bound is not None and not self.bound[d]:
-            # the Hilbert numerator allows no new generator here
-            return
         # The row (i, o) has lead L_{g_i} + L_o.  If L_c - L_{g_i} borrows in
         # any field, it is negative or its fields sum to d - deg g_i plus
         # 2^w - 1 per borrow, so it is no monomial of that degree and misses
@@ -773,19 +765,23 @@ def generator_degrees(
     ``arithmetic`` selects "exact" integer elimination or the "modular"
     one-prime fast path (a degree that falls short of full rank mod p is
     eliminated again exactly, and only that exact pass names new
-    generators).  A given ``elements`` is taken to be the group: the scan
-    reads its stabilizer chain and vertex orbits off that listing, checks
-    that it holds every generator and that each stabilizer's element count
-    matches its cosets, and checks every invariant dimension through
-    D_G = max(deg N, max |O|), N the Hilbert numerator of the listing's
-    cycle-index series and O its vertex orbits, against that series; above
-    D_G the dimensions are the series values (see the module docstring).  The
-    result's ``orbit_sizes`` are the sizes of those vertex orbits, by
-    smallest member."""
+    generators).  A given ``elements``, nonempty and on the spec's points
+    (``ValueError``), is taken to be the group: the scan reads its
+    stabilizer chain and vertex orbits off that listing, checks that it
+    holds every generator and that each stabilizer's element count matches
+    its cosets, and checks each invariant dimension it labels against the
+    listing's cycle-index series, which gives the rest (see the module
+    docstring).  The result's ``orbit_sizes`` are the sizes of those vertex
+    orbits, by smallest member."""
     if arithmetic not in ("exact", "modular"):
         raise ValueError(f"arithmetic must be 'exact' or 'modular', got {arithmetic!r}")
     if degree_cap < 0:
         raise ValueError(f"need degree_cap >= 0, got {degree_cap}")
+    if elements is not None and not elements:
+        raise ValueError("need at least one listed element")
+    wrong = next((g for g in elements or () if g.n != spec.n), None)
+    if wrong is not None:
+        raise ValueError(f"listed element {wrong.image} acts on {wrong.n} points, not {spec.n}")
     return _RingScan(spec, degree_cap, budget, arithmetic, elements).run()
 
 

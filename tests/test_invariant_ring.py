@@ -758,8 +758,15 @@ def test_full_certification_cap():
         (lambda: check_conjectures(Graph(0, ())), "conjecture checks need at least one vertex"),
         (lambda: sweep(0), "need n_max >= 1, got 0"),
         (lambda: sweep(2, jobs=0), "need jobs >= 1, got 0"),
+        (lambda: generator_degrees(trivial_group(2), 2, elements=[]),
+         "need at least one listed element"),
+        (lambda: generator_degrees(trivial_group(2), 2, elements=[Permutation((1, 0, 2))]),
+         "listed element (1, 0, 2) acts on 3 points, not 2"),
     ],
-    ids=["molien-degree", "arithmetic", "degree-cap", "no-vertex", "sweep-n", "sweep-jobs"],
+    ids=[
+        "molien-degree", "arithmetic", "degree-cap", "no-vertex", "sweep-n", "sweep-jobs",
+        "empty-listing", "listing-points",
+    ],
 )
 def test_invariant_ring_refusals(call, message):
     with pytest.raises(ValueError) as info:
@@ -1004,7 +1011,10 @@ def test_report_checks_goebel_bound(monkeypatch):
 
 
 def test_generator_bound_pinned():
-    bound = invariant_ring._generator_bound
+    def bound(series, sizes):
+        numerator = invariant_ring._hilbert_numerator(series, sizes)
+        return invariant_ring._generator_bound(numerator, sizes)
+
     s6 = young_generators(TypedNodeSet((6,)))
     assert bound(molien_hilbert_coeffs(s6, 9), [6])[1:] == [1] * 6 + [0] * 3  # D_G = 6
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
@@ -1044,8 +1054,8 @@ def test_scan_enforces_generator_bound(monkeypatch):
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
     real = invariant_ring._generator_bound
 
-    def one_lower_at_degree_one(molien, orbit_sizes):
-        b = real(molien, orbit_sizes)
+    def one_lower_at_degree_one(numerator, orbit_sizes):
+        b = real(numerator, orbit_sizes)
         b[1] -= 1
         return b
 
@@ -1068,7 +1078,11 @@ def test_scan_cross_checks_each_dimension_against_molien(monkeypatch):
         return tuple(series)
 
     monkeypatch.setattr(invariant_ring, "_molien_from_elements", one_high_at_degree_two)
-    monkeypatch.setattr(invariant_ring, "_generator_bound", lambda _, s: real_bound(true, s))
+    monkeypatch.setattr(
+        invariant_ring,
+        "_generator_bound",
+        lambda _, s: real_bound(invariant_ring._hilbert_numerator(true, s), s),
+    )
     message = (
         f"orbit count {true[2]} at degree 2 disagrees with "
         f"the cycle-index series value {true[2] + 1}"
@@ -1115,7 +1129,8 @@ def test_scan_checks_the_vertex_orbits_of_its_chain_against_the_listing(monkeypa
     # numerator 1 + t + t^2, which the bound accepts, so only the degree-1
     # check of the orbits the chain labels can fire
     swap = PermGroupSpec(3, (Permutation((1, 0, 2)),))
-    bound = invariant_ring._generator_bound(molien_hilbert_coeffs(swap, 4), [3])
+    numerator = invariant_ring._hilbert_numerator(molien_hilbert_coeffs(swap, 4), [3])
+    bound = invariant_ring._generator_bound(numerator, [3])
     assert bound[1:] == [2, 2, 1, 0]
     monkeypatch.setattr(invariant_ring, "_listed_orbit_sizes", lambda elements: [3])
     message = (
@@ -1218,6 +1233,20 @@ def test_scan_checks_the_module_rank_before_it_settles_a_degree(monkeypatch):
         generator_degrees(swap, 4, elements=elements)
 
 
+def test_listed_scan_computes_the_hilbert_numerator_once(monkeypatch):
+    # the star settles the degrees above 3 at cap 6, so D_G, B_d and the
+    # module rank N(1) are all read, and all off one numerator
+    calls = []
+    real = invariant_ring._hilbert_numerator
+    monkeypatch.setattr(
+        invariant_ring,
+        "_hilbert_numerator",
+        lambda molien, sizes: calls.append(sorted(sizes)) or real(molien, sizes),
+    )
+    generator_degrees(STAR_GROUP, 6, elements=group_closure(STAR_GROUP))
+    assert calls == [[1, 3]]
+
+
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_every_star_dimension_is_checked_against_the_series(monkeypatch, degree):
     # the star's vertex orbits have sizes 3 and 1, so the settled degrees
@@ -1236,7 +1265,11 @@ def test_every_star_dimension_is_checked_against_the_series(monkeypatch, degree)
 
     monkeypatch.setattr(invariant_ring, "_molien_from_elements", one_high)
     if degree <= 3:
-        monkeypatch.setattr(invariant_ring, "_generator_bound", lambda _, s: real_bound(true, s))
+        monkeypatch.setattr(
+            invariant_ring,
+            "_generator_bound",
+            lambda _, s: real_bound(invariant_ring._hilbert_numerator(true, s), s),
+        )
         message = f"orbit count {true[degree]} at degree {degree} disagrees"
     else:
         message = "nonzero above degree 3"
