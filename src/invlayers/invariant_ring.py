@@ -97,10 +97,18 @@ The harness applies this to graph automorphism groups.  For each graph it
 reports the maximal generator degree (a proxy for the smallest tensor order
 needed by invariant function approximators) and checks it against two
 conjectured bounds: the vertex count, and the largest automorphism orbit.
+Many graphs share their group (a graph and its complement list the same
+elements), so ``check_conjectures`` scans each listing once per process:
+it keys a memo by the listing, which ``automorphism_group`` sorts by
+image, the resolved cap and arithmetic, and the budget, which together
+determine the scan, pivots depending on the rows' span alone.  A hit
+returns an identical input's scan, which ran every certificate; a scan
+that raises is not held, and the pool workers of ``sweep`` start empty.
 """
 
 from __future__ import annotations
 
+import array
 import collections
 import csv
 import dataclasses
@@ -381,10 +389,10 @@ def _hilbert_numerator(molien: Sequence[int], orbit_sizes: Sequence[int]) -> lis
 def _generator_bound(numerator: Sequence[int], orbit_sizes: Sequence[int]) -> list[int]:
     """At index d >= 1, B_d = N_d + #{O : |O| >= d}: the most new
     generators degree d can hold, given the Hilbert numerator N from
-    degree 0 to the cap or beyond and the sizes of the vertex orbits O
-    (see the module docstring).  Raises ``AssertionError`` where N is
-    negative, or nonzero above sum |O|(|O|-1)/2, which no Cohen-Macaulay
-    ring allows."""
+    degree 0 to sum |O|(|O|-1)/2 or beyond and the sizes of the vertex
+    orbits O (see the module docstring).  Raises ``AssertionError`` where
+    N is negative, or nonzero above sum |O|(|O|-1)/2, which no
+    Cohen-Macaulay ring allows."""
     top = _numerator_degree(orbit_sizes)
     if min(numerator) < 0 or any(numerator[top + 1 :]):
         raise AssertionError(
@@ -523,22 +531,24 @@ class _RingScan:
     ``dims[d - 1]`` is the invariant dimension of verified degree d, so
     ``len(dims)`` is the last degree verified.  The monomial orbits are
     labelled at each degree up to ``labelled_to``: the cap, or for a listed
-    group D_G (see the module docstring); ``bound`` holds B_d, and
-    ``rank`` N(1) and the listing's length, all read off one Hilbert
-    numerator N.  ``degrees[d]`` is the orbit record of labelled degree d,
-    a ``_Degree``; degree 0, the constant monomial alone, is built
-    directly.  ``maps`` pairs each representative
-    of the group's stabilizer chain with its map on the rows of the last
-    degree labelled, carried to the next.  Given the group's elements, the
-    scan reads the chain and the vertex orbit sizes of its bound off them,
-    and checks that they hold every generator of the spec; given none, it
-    builds the chain from the generators.  Each generator found is held, in
-    degree order, as its (degree, orbit) pair, so its lead and its members
-    are read from the record of its degree.  ``products[e]`` is the number of
-    products of degree e of the generators found so far, a generator of
-    degree e alone counting as one; it gains one entry per degree labelled,
-    and at the first settled degree, every generator found, it becomes one
-    series through the cap."""
+    group D_G (see the module docstring); ``bound`` holds B_d, and ``rank``
+    N(1) and the listing's length, all read off one Hilbert numerator N.
+    ``molien``, the series N is read off, runs through top and through
+    ``reach``, the last degree up to the cap whose monomials the budget
+    admits, since the scan stops at the first it refuses.  ``degrees[d]``
+    is the orbit record of labelled degree d, a ``_Degree``; degree 0, the
+    constant monomial alone, is built directly.  ``maps`` pairs each
+    representative of the group's stabilizer chain with its map on the rows
+    of the last degree labelled, carried to the next.  Given the group's
+    elements, the scan reads the chain and the vertex orbit sizes of its
+    bound off them, and checks that they hold every generator of the spec;
+    given none, it builds the chain from the generators.  Each generator
+    found is held, in degree order, as its (degree, orbit) pair, so its
+    lead and its members are read from the record of its degree.
+    ``products[e]`` is the number of products of degree e of the generators
+    found so far, a generator of degree e alone counting as one; it gains
+    one entry per degree labelled, and at the first settled degree, every
+    generator found, it becomes one series through ``reach``."""
 
     def __init__(
         self,
@@ -568,7 +578,11 @@ class _RingScan:
             self.orbit_sizes = tuple(_listed_orbit_sizes(elements))
             # the series through top fixes the whole numerator
             top = _numerator_degree(self.orbit_sizes)
-            self.molien = _molien_from_elements(elements, max(cap, top))
+            limit = budget.monomials_per_degree
+            self.reach = next(
+                (d - 1 for d in range(1, cap + 1) if _monomial_count(self.n, d) > limit), cap
+            )
+            self.molien = _molien_from_elements(elements, max(self.reach, top))
             numerator = _hilbert_numerator(self.molien, self.orbit_sizes)
             self.bound = _generator_bound(numerator, self.orbit_sizes)
             self.rank = sum(numerator), len(elements)
@@ -654,7 +668,7 @@ class _RingScan:
         Above ``labelled_to`` the degree builds nothing: it reads P_d and
         the series value.  The first such degree checks the module rank,
         N(1) * |S| = prod |O|! (``AssertionError``), and extends
-        ``products`` through the cap by one series over the generators, all
+        ``products`` through ``reach`` by one series over the generators, all
         of them found.  Up to ``labelled_to``, the degree's orbit count must
         pass the Molien cross-check, and at degree 1 the vertex orbit sizes
         read off the labels must be the listing's (``AssertionError``); then
@@ -672,7 +686,7 @@ class _RingScan:
                         f"Hilbert numerator sum {rank} times the group order {order} "
                         f"differs from the product of the factorials of {self.orbit_sizes}"
                     )
-                self.products = _series((dg for dg, _ in self.gens), self.cap)
+                self.products = _series((dg for dg, _ in self.gens), self.reach)
             _budgeted_monomial_count(self.n, d, self.budget)
             self._budgeted_product_count(d)
             self.dims.append(self.molien[d])
@@ -850,6 +864,18 @@ class ConjectureReport:
     arithmetic: str
 
 
+# the scans a process holds, the oldest dropped first: n <= 8 lists 999
+# distinct automorphism groups
+_SCAN_MEMO_SIZE = 4096
+_scans: collections.OrderedDict = collections.OrderedDict()
+
+
+def _empty_scan_memo() -> None:
+    """Drop every scan ``check_conjectures`` holds; each ``sweep`` pool
+    worker runs it first, so a forked one holds none of its parent's."""
+    _scans.clear()
+
+
 def check_conjectures(
     graph: Graph,
     cap_policy="2n",
@@ -857,7 +883,13 @@ def check_conjectures(
     arithmetic: str = "auto",
     budget: Budgets = DEFAULT,
 ) -> ConjectureReport:
-    """Verify both generator-degree bounds for one graph."""
+    """Verify both generator-degree bounds for one graph.
+
+    The scan is read through a per-process memo keyed by the automorphism
+    listing (sorted by image), the resolved cap and arithmetic, and the
+    budget: a hit returns the result of an earlier scan of an identical
+    input, which ran every certificate, and a scan that raises is not
+    held.  The pool workers of ``sweep`` start with it empty."""
     n = graph.n
     if n < 1:
         raise ValueError("conjecture checks need at least one vertex")
@@ -865,9 +897,16 @@ def check_conjectures(
         arithmetic = "exact" if n <= 5 else "modular"
     aut = automorphism_group(graph)
     cap = _resolve_cap(cap_policy, n)
-    scan = generator_degrees(
-        aut, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
-    )
+    images = itertools.chain.from_iterable(g.image for g in aut.generators)
+    key = (n, array.array("I", images).tobytes(), cap, arithmetic, budget)
+    scan = _scans.get(key)
+    if scan is None:
+        scan = generator_degrees(
+            aut, cap, budget=budget, arithmetic=arithmetic, elements=aut.generators
+        )
+        _scans[key] = scan
+        if len(_scans) > _SCAN_MEMO_SIZE:
+            _scans.popitem(last=False)
     orbit_sizes = tuple(sorted(scan.orbit_sizes, reverse=True))
     max_orbit = orbit_sizes[0]
     aut_order = len(aut.generators)
@@ -949,7 +988,7 @@ def sweep(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_empty_scan_memo) as pool:
             reports = list(pool.map(check, graphs))
     reports.sort(key=lambda r: (r.n, r.graph6))
     return SweepResult(reports=tuple(reports), summary=_summarize(reports))

@@ -18,6 +18,16 @@ import pytest
 ACCEPTANCE_LINES: list[str] = []
 
 
+@pytest.fixture(autouse=True)
+def empty_scan_memo():
+    """Every test scans from an empty per-process memo, so none reads a
+    scan another test left, a patched ``generator_degrees`` result among
+    them."""
+    from invlayers.invariant_ring import _empty_scan_memo
+
+    _empty_scan_memo()
+
+
 @pytest.fixture
 def acceptance_record():
     def record(line: str) -> None:

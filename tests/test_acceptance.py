@@ -6,7 +6,7 @@ that the terminal summary echoes (see ``conftest.py``).  The expected
 numbers repeat the independently frozen values from the per-module test
 files, so this file is a readable checklist rather than a second oracle.
 
-The seven-vertex sweep, about 7 s on a 2-core VM, is marked ``slow``:
+The seven-vertex sweep, about 2 s on a 2-core VM, is marked ``slow``:
 ``-m "not slow"`` leaves it out.
 """
 

@@ -384,18 +384,34 @@ def test_degrees_beyond_one_byte_exponents():
 
 
 @pytest.mark.parametrize(
-    "spec,cap,monomials,dims,new_by_degree",
+    "spec,cap,monomials,dims,new_by_degree,listed",
     [
-        (cyclic_generators(13), 31, 500, (1, 7, 35), ((1, 1), (2, 6), (3, 28))),
-        (young_generators(TypedNodeSet((13,))), 31, 500, (1, 2, 3), ((1, 1), (2, 1), (3, 1))),
-        (young_generators(TypedNodeSet((2,))), 2**62, 4, (1, 2, 2), ((1, 1), (2, 1))),
+        (cyclic_generators(13), 31, 500, (1, 7, 35), ((1, 1), (2, 6), (3, 28)), False),
+        (
+            young_generators(TypedNodeSet((13,))),
+            31,
+            500,
+            (1, 2, 3),
+            ((1, 1), (2, 1), (3, 1)),
+            False,
+        ),
+        (young_generators(TypedNodeSet((2,))), 2**62, 4, (1, 2, 2), ((1, 1), (2, 1)), False),
+        (young_generators(TypedNodeSet((2,))), 2**62, 4, (1, 2, 2), ((1, 1), (2, 1)), True),
     ],
-    ids=["C13", "S13", "S2-63-bit-fields"],
+    ids=["C13", "S13", "S2-63-bit-fields", "S2-63-bit-fields-listed"],
 )
-def test_packed_monomials_wider_than_a_machine_word(spec, cap, monomials, dims, new_by_degree):
+def test_packed_monomials_wider_than_a_machine_word(
+    spec, cap, monomials, dims, new_by_degree, listed
+):
     # cap 31 needs 5-bit fields, so 13 variables pack into 65 bits; cap
-    # 2**62 needs 63-bit fields, so x_1 alone is 2**63, past any int64
-    res = generator_degrees(spec, cap, budget=Budgets(monomials_per_degree=monomials))
+    # 2**62 needs 63-bit fields, so x_1 alone is 2**63, past any int64.  A
+    # listed scan takes its series only through the degrees it can reach.
+    res = generator_degrees(
+        spec,
+        cap,
+        budget=Budgets(monomials_per_degree=monomials),
+        elements=group_closure(spec) if listed else None,
+    )
     assert res.verified_up_to == 3  # the monomial budget stops degree 4
     assert res.dims == dims
     assert res.new_by_degree == new_by_degree
@@ -1183,9 +1199,11 @@ def test_a_numerator_gap_at_the_cap_settles_no_degree(monkeypatch, g, cap):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_complete_and_empty_graphs_label_orbits_through_n_alone(monkeypatch, n):
     # Aut = S_n: the numerator is 1, so D_G = n, far below sum |O|(|O|-1)/2
+    # the two graphs list the same group, so each scans from an empty memo
     labelled = _record_labelled_degrees(monkeypatch)
     for g in (complete_graph(n), graph(n)):
         labelled.clear()
+        invariant_ring._empty_scan_memo()
         report = check_conjectures(g, "full")
         assert labelled == list(range(1, n + 1))
         assert report.new_by_degree == tuple((d, 1) for d in range(1, n + 1))
@@ -1384,8 +1402,9 @@ def test_sweep_starts_at_most_one_worker_per_graph(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self
@@ -1408,6 +1427,109 @@ def test_sweep_accepts_explicit_graphs():
     gs = [complete_graph(3), graph(3)]
     result = sweep(3, graphs=gs)
     assert len(result.reports) == 2
+
+
+# ----------------------------------------------------------------- scan memo
+
+
+def _count_scans(monkeypatch, fail=0):
+    """The number of ``generator_degrees`` calls from now on, as a list
+    holding it; the first ``fail`` calls raise ``MemoryError``."""
+    calls = [0]
+    real = invariant_ring.generator_degrees
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] <= fail:
+            raise MemoryError("refused by the test")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariant_ring, "generator_degrees", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cap", ["full", "2n"])
+def test_a_memo_hit_reports_what_a_cold_scan_does(monkeypatch, cap):
+    classes = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cold = []
+    for g in classes:
+        invariant_ring._empty_scan_memo()
+        cold.append(check_conjectures(g, cap))
+    invariant_ring._empty_scan_memo()
+    calls = _count_scans(monkeypatch)
+    assert [check_conjectures(g, cap) for g in classes] == cold
+    assert calls[0] < len(classes)
+
+
+@pytest.mark.parametrize(
+    "n,scans,classes",
+    [(6, 99, 208), pytest.param(7, 294, 1252, marks=pytest.mark.slow)],
+)
+def test_a_sweep_scans_each_listing_once(monkeypatch, n, scans, classes):
+    calls = _count_scans(monkeypatch)
+    assert len(sweep(n, "2n").reports) == classes
+    assert calls[0] == scans
+
+
+def test_a_scan_is_held_for_its_cap_arithmetic_and_budget_alone(monkeypatch):
+    path4 = graph(4, (0, 1), (1, 2), (2, 3))
+    calls = _count_scans(monkeypatch)
+    for cap_policy, kwargs, scans in [
+        (3, {}, 1),
+        (3, {}, 1),
+        ("full", {}, 2),
+        (6, {}, 2),  # "full" resolves to 6 at n = 4
+        (6, {"arithmetic": "modular"}, 3),
+        (6, {"arithmetic": "exact"}, 3),  # "auto" resolves to exact at n = 4
+        (6, {"budget": Budgets(tuple_enumeration=10**6)}, 4),
+        (6, {"budget": Budgets()}, 4),
+        (3, {"arithmetic": "modular"}, 5),
+    ]:
+        check_conjectures(path4, cap_policy, **kwargs)
+        assert calls[0] == scans, (cap_policy, kwargs)
+
+
+def test_a_scan_that_raises_is_retried(monkeypatch):
+    calls = _count_scans(monkeypatch, fail=1)
+    with pytest.raises(MemoryError):
+        check_conjectures(complete_graph(3))
+    assert check_conjectures(complete_graph(3)).beta_proxy == 3
+    assert calls[0] == 2
+
+
+def test_sweep_workers_start_with_no_held_scan(monkeypatch):
+    # a forked worker inherits its parent's memo: a planted wrong scan would
+    # reach the pool's reports if the workers did not empty it first
+    cold = sweep(3)
+    victim = next(g for g in enumerate_graphs(3) if len(automorphism_group(g).generators) == 2)
+    invariant_ring._empty_scan_memo()
+    _overstate_beta(monkeypatch, 3)
+    with pytest.raises(AssertionError, match="Noether"):
+        check_conjectures(victim)
+    monkeypatch.undo()
+    with pytest.raises(AssertionError, match="Noether"):
+        check_conjectures(victim)
+    assert sweep(3, jobs=2) == cold
+
+
+def test_a_spawned_pool_sweeps_as_the_serial_sweep_does():
+    code = (
+        "import multiprocessing\n"
+        "from invlayers.invariant_ring import sweep\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    print(sweep(4, jobs=2) == sweep(4))\n"
+    )
+    src = str(pathlib.Path(invariant_ring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 # Answers frozen from the scan over products of generator multisets, which
