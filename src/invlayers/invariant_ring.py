@@ -44,8 +44,9 @@ for each orbit c of degree d, the first generator g with L_c - L_g the lead
 of an orbit o of degree d - deg(g); those rows are triangular with unit
 lead coefficients, hence independent, so the rank is at least the cover's
 size.  Every row is a combination of the degree-d products of the
-generators found below d, so the rank is at most their number P_d
-(``_RingScan._product_count``), and a cover larger than P_d raises
+generators found below d, so the rank is at most their number P_d, read
+off the product over those generators g of 1/(1 - t^deg g)
+(``_RingScan.products``), and a cover larger than P_d raises
 ``AssertionError``.  A cover of min(dim, P_d) columns therefore holds the
 leads of the whole product span and settles the degree with no row built:
 the uncovered orbits are the new generators.  Otherwise the rows left over
@@ -76,9 +77,9 @@ through top at least, which fixes all of N: each of its terms times prod
 
 Each degree up to D_G is labelled and certified as above.  Above D_G the
 scan labels no orbit: each degree there keeps its two budget refusals,
-reads its product count P_d off one series over the generators, and takes
-its dimension from the series.  No degree up to D_G reads a higher one:
-its cover and rows read the degrees d - deg g < d.  The dimensions there
+reads P_d off ``products``, every generator found, and takes its
+dimension from the series.  No degree up to D_G reads a higher one: its
+cover and rows read the degrees d - deg g < d.  The dimensions there
 are the series values.  Let H be the group the stabilizer chain labels
 and N' its numerator, which has no negative coefficient, R^H being
 Cohen-Macaulay.  The chain's read-off checks that the identity is listed
@@ -330,9 +331,14 @@ def monomial_orbit_sums(
 def _series(parts: Iterable[int], top: int) -> list[int]:
     """The coefficients of t^0..t^top in the product over k in parts of
     1/(1 - t^k): at t^d, the number of multisets of parts summing to d."""
-    coeffs = [1] + [0] * top
+    return _multiply_series([1] + [0] * top, parts)
+
+
+def _multiply_series(coeffs: list[int], parts: Iterable[int]) -> list[int]:
+    """Multiply the series ``coeffs``, truncated where the list ends, in
+    place by the product over k in parts of 1/(1 - t^k), and return it."""
     for k in parts:
-        for i in range(k, top + 1):
+        for i in range(k, len(coeffs)):
             coeffs[i] += coeffs[i - k]
     return coeffs
 
@@ -529,13 +535,13 @@ class _RingScan:
     """Degree-by-degree minimal-generator computation for one group.
 
     ``dims[d - 1]`` is the invariant dimension of verified degree d, so
-    ``len(dims)`` is the last degree verified.  The monomial orbits are
-    labelled at each degree up to ``labelled_to``: the cap, or for a listed
-    group D_G (see the module docstring); ``bound`` holds B_d, and ``rank``
-    N(1) and the listing's length, all read off one Hilbert numerator N.
-    ``molien``, the series N is read off, runs through top and through
-    ``reach``, the last degree up to the cap whose monomials the budget
-    admits, since the scan stops at the first it refuses.  ``degrees[d]``
+    ``len(dims)`` is the last degree verified, and ``reach`` the last up to
+    the cap whose monomials the budget admits, since the scan stops at the
+    first it refuses.  The monomial orbits are labelled at each degree up to
+    ``labelled_to``: the cap, or for a listed group D_G (see the module
+    docstring); ``bound`` holds B_d, and ``rank`` N(1) and the listing's
+    length, all read off one Hilbert numerator N.  ``molien``, the series N
+    is read off, runs through top and through ``reach``.  ``degrees[d]``
     is the orbit record of labelled degree d, a ``_Degree``; degree 0, the
     constant monomial alone, is built directly.  ``maps`` pairs each
     representative of the group's stabilizer chain with its map on the rows
@@ -545,10 +551,10 @@ class _RingScan:
     given none, it builds the chain from the generators.  Each generator
     found is held, in degree order, as its (degree, orbit) pair, so its
     lead and its members are read from the record of its degree.
-    ``products[e]`` is the number of products of degree e of the generators
-    found so far, a generator of degree e alone counting as one; it gains
-    one entry per degree labelled, and at the first settled degree, every
-    generator found, it becomes one series through ``reach``."""
+    ``products[e]``, for e up to ``reach``, is the number of products of
+    degree e of the generators found so far, a generator of degree e alone
+    counting as one: one series, built once with no generator and
+    multiplied in place by 1/(1 - t^deg g) as each generator g is found."""
 
     def __init__(
         self,
@@ -567,6 +573,10 @@ class _RingScan:
         self.molien = self.bound = None
         self.orbit_sizes: tuple[int, ...] = ()
         self.labelled_to = cap
+        limit = budget.monomials_per_degree
+        self.reach = next(
+            (d - 1 for d in range(1, cap + 1) if _monomial_count(self.n, d) > limit), cap
+        )
         if elements is None:
             chain = _stabilizer_chain(spec)
         else:
@@ -578,10 +588,6 @@ class _RingScan:
             self.orbit_sizes = tuple(_listed_orbit_sizes(elements))
             # the series through top fixes the whole numerator
             top = _numerator_degree(self.orbit_sizes)
-            limit = budget.monomials_per_degree
-            self.reach = next(
-                (d - 1 for d in range(1, cap + 1) if _monomial_count(self.n, d) > limit), cap
-            )
             self.molien = _molien_from_elements(elements, max(self.reach, top))
             numerator = _hilbert_numerator(self.molien, self.orbit_sizes)
             self.bound = _generator_bound(numerator, self.orbit_sizes)
@@ -592,7 +598,7 @@ class _RingScan:
         self.degrees = [_Degree(_monomials(self.n, 0, self.width), zero, zero)]
         self.maps = _chain_maps(chain)
         self.gens: list[tuple[int, int]] = []
-        self.products = [1]
+        self.products = _series((), self.reach)
         self.dims: list[int] = []
 
     # ---- generator x orbit-sum rows
@@ -641,21 +647,10 @@ class _RingScan:
 
     # ---- per-degree processing
 
-    def _product_count(self, d: int) -> int:
-        """P_d, the number of multisets of the generators found below degree
-        d whose degrees sum to d, from ``products`` at the degrees below d:
-        Euler's recurrence for the product over generators g of
-        1/(1 - t^deg g) gives d * P_d = sum over g and m >= 1 of
-        deg g * P_(d - m deg g)."""
-        degrees = collections.Counter(dg for dg, _ in self.gens)
-        return sum(k * c * sum(self.products[d - k :: -k]) for k, c in degrees.items()) // d
-
     def _budgeted_product_count(self, d: int) -> int:
-        """P_d, refusing (``BudgetError``) more products than the budget
-        allows: at a labelled degree, the last entry of ``products``, so it
-        is counted and appended; at a settled one, already there."""
-        if d == len(self.products):
-            self.products.append(self._product_count(d))
+        """P_d, read off ``products`` at labelled and settled degrees alike,
+        refusing (``BudgetError``) more products than the budget allows.
+        ``products`` ends at ``reach``, so the monomial refusal runs first."""
         products, limit = self.products[d], self.budget.tuple_enumeration
         if products > limit:
             raise BudgetError(f"more than {limit} generator products at degree {d}")
@@ -665,19 +660,19 @@ class _RingScan:
         """Verify degree d, refusing (``BudgetError``) more monomials or
         generator products than the budget allows.
 
-        Above ``labelled_to`` the degree builds nothing: it reads P_d and
-        the series value.  The first such degree checks the module rank,
-        N(1) * |S| = prod |O|! (``AssertionError``), and extends
-        ``products`` through ``reach`` by one series over the generators, all
-        of them found.  Up to ``labelled_to``, the degree's orbit count must
-        pass the Molien cross-check, and at degree 1 the vertex orbit sizes
-        read off the labels must be the listing's (``AssertionError``); then
-        its new generators are found, never more than B_d
-        (``AssertionError``).  The cover's rows are independent products, so
-        the cover never outnumbers P_d (``AssertionError``); the elimination
-        stops at rank min(dim, P_d), so a cover that reaches it builds no
-        row, and the mod-p pass, which can prove only full rank, runs only
-        where P_d >= dim."""
+        Every degree reads P_d off ``products``.  Above ``labelled_to`` the
+        degree builds nothing: it reads P_d and the series value, and the
+        first such degree checks the module rank, N(1) * |S| = prod |O|!
+        (``AssertionError``).  Up to ``labelled_to``, the degree's orbit
+        count must pass the Molien cross-check, and at degree 1 the vertex
+        orbit sizes read off the labels must be the listing's
+        (``AssertionError``); then its new generators are found, never more
+        than B_d (``AssertionError``), and multiply ``products``.  The
+        cover's rows are independent products, so the cover never
+        outnumbers P_d (``AssertionError``); the elimination stops at rank
+        min(dim, P_d), so a cover that reaches it builds no row, and the
+        mod-p pass, which can prove only full rank, runs only where
+        P_d >= dim."""
         if d > self.labelled_to:
             if d == self.labelled_to + 1:
                 rank, order = self.rank
@@ -686,7 +681,6 @@ class _RingScan:
                         f"Hilbert numerator sum {rank} times the group order {order} "
                         f"differs from the product of the factorials of {self.orbit_sizes}"
                     )
-                self.products = _series((dg for dg, _ in self.gens), self.reach)
             _budgeted_monomial_count(self.n, d, self.budget)
             self._budgeted_product_count(d)
             self.dims.append(self.molien[d])
@@ -743,7 +737,7 @@ class _RingScan:
                 f"numerator bound {self.bound[d]}"
             )
         self.gens.extend(new)
-        self.products[d] += len(new)
+        _multiply_series(self.products, [d] * len(new))
 
     def run(self) -> GeneratorDegreeResult:
         for d in range(1, self.cap + 1):

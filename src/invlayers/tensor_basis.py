@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, IO, Sequence
@@ -261,7 +262,7 @@ def _basis_document(basis: Sequence[BasisElement]) -> dict:
     return {"n": n, "k": k, "type_sizes": list(sizes), "count": len(basis), "elements": records}
 
 
-def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
+def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str | os.PathLike) -> None:
     """Write a basis as UTF-8 JSON: a header (n, k, type_sizes, count) and
     one record per element with its 0-based axis type labels
     (``axis_types``), the restricted growth string of each type's
@@ -269,15 +270,17 @@ def serialize_basis(basis: Sequence[BasisElement], fp: IO[str] | str) -> None:
     node indices (``support``), empty supports as empty lists.
     ``invlayers basis`` writes the same layout inside its report."""
     text = json.dumps(_basis_document(basis), indent=1, sort_keys=True) + "\n"
-    with open(fp, "w", encoding="utf-8") if isinstance(fp, str) else nullcontext(fp) as handle:
+    path = isinstance(fp, (str, os.PathLike))
+    with open(fp, "w", encoding="utf-8") if path else nullcontext(fp) as handle:
         handle.write(text)
 
 
-def load_basis(fp: IO[str] | str) -> list[BasisElement]:
+def load_basis(fp: IO[str] | str | os.PathLike) -> list[BasisElement]:
     """Read a basis written by ``serialize_basis`` or ``invlayers basis``
     (whose ``version`` and ``config`` keys are ignored); inverse up to identity."""
+    path = isinstance(fp, (str, os.PathLike))
     try:
-        with open(fp, encoding="utf-8") if isinstance(fp, str) else nullcontext(fp) as handle:
+        with open(fp, encoding="utf-8") if path else nullcontext(fp) as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as e:
         raise BasisFileError(f"line {e.lineno}: {e.msg}") from e

@@ -611,8 +611,10 @@ def test_orbit_coordinate_products_match_expansion_random_groups(spec, cap):
 
 
 def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
-    # an order-16 automorphism group with orbits (4, 2), where the leads of
-    # the generator x orbit-sum rows leave columns uncovered at many degrees
+    # an order-16 automorphism group with orbits (4, 2): at cap 12 the
+    # leads of the generator x orbit-sum rows leave columns uncovered at 3
+    # of the 12 degrees, 5, 8 and 11, and only those build rows, in either
+    # arithmetic; none of them has a new generator
     for g in enumerate_graphs(6):
         aut = automorphism_group(g)
         if len(aut.generators) == 16 and sorted(map(len, vertex_orbits(aut))) == [2, 4]:
@@ -637,16 +639,13 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
     assert all(is_exact for _, is_exact in calls)
     # at most one elimination of each kind per degree
     assert len(set(calls)) == len(calls)
-    eliminated = {exact.dims.index(dim) + 1 for dim, _ in calls}
     new = {d for d, _ in exact.new_by_degree}
-    assert new < eliminated
-    # some full-rank degree built product rows to reduce
-    assert built - new
+    assert built == {5, 8, 11}
     calls.clear()
     built.clear()
     modular = generator_degrees(spec, 12, arithmetic="modular")
     assert len(set(calls)) == len(calls)
-    assert built - new
+    assert built == {5, 8, 11}
     # every new generator was found by an exact pass
     assert new <= {exact.dims.index(dim) + 1 for dim, is_exact in calls if is_exact}
     assert dataclasses.replace(modular, arithmetic="exact") == exact
@@ -656,9 +655,11 @@ def test_modular_matches_exact_where_the_shortcut_fails_often(monkeypatch):
 def test_scan_refuses_a_cover_that_outnumbers_the_product_count(monkeypatch):
     # S3's degree-2 cover row e1 * e1 is one independent product; a count
     # that misses it leaves the cover larger than the rank can be
-    count = invariant_ring._RingScan._product_count
+    count = invariant_ring._RingScan._budgeted_product_count
     monkeypatch.setattr(
-        invariant_ring._RingScan, "_product_count", lambda self, d: count(self, d) - (d == 2)
+        invariant_ring._RingScan,
+        "_budgeted_product_count",
+        lambda self, d: count(self, d) - (d == 2),
     )
     with pytest.raises(AssertionError, match="1 independent cover rows at degree 2 outnumber"):
         generator_degrees(S3, 4)
@@ -1169,6 +1170,26 @@ def _record_labelled_degrees(monkeypatch):
     return labelled
 
 
+@pytest.mark.parametrize("listed", [True, False], ids=["listed", "unlisted"])
+def test_product_series_counts_the_products_of_every_generator(listed):
+    # products starts as the series of no generator, through reach, and each
+    # generator found multiplies it in place, so a scan ends with the series
+    # of all its generators; the small budget stops the larger scans below
+    # their caps
+    stopped = 0
+    for budget in (Budgets(), Budgets(monomials_per_degree=100)):
+        for spec, elements, cap in _scan_cases():
+            listing = elements if listed else None
+            scan = invariant_ring._RingScan(spec, cap, budget, "modular", listing)
+            result = scan.run()
+            assert len(scan.products) == scan.reach + 1
+            assert result.verified_up_to <= scan.reach
+            stopped += scan.reach < cap
+            degrees = [dg for dg, _ in scan.gens]
+            assert scan.products == invariant_ring._series(degrees, scan.reach), spec
+    assert stopped
+
+
 def test_listed_scans_label_orbits_up_to_the_settled_degree_alone(monkeypatch):
     labelled = _record_labelled_degrees(monkeypatch)
     for spec, elements, cap in _scan_cases():
@@ -1592,12 +1613,13 @@ def _csv_rows(text, sizes):
 
 def test_no_product_row_where_the_cover_reaches_the_product_count(monkeypatch):
     """Every n <= 5 class at cap full (exact) and every n = 6 class at cap 2n
-    (modular): the running product count P_d equals the multiset count over
-    the generators found below d, no mod-p pass runs where P_d < dim, no row
-    is built at a degree whose cover reaches min(dim, P_d), and the reports
-    are the frozen ones."""
+    (modular): the product count P_d, at labelled and settled degrees,
+    equals the multiset count over the generators found below d, no mod-p
+    pass runs where P_d < dim, no row is built at a degree whose cover
+    reaches min(dim, P_d), and the reports are the frozen ones."""
     scan_class = invariant_ring._RingScan
-    count, row, eliminate = scan_class._product_count, scan_class._row, invariant_ring._eliminate
+    count, row = scan_class._budgeted_product_count, scan_class._row
+    eliminate = invariant_ring._eliminate
     settled, built = [], []
 
     def hooked_count(self, d):
@@ -1617,7 +1639,7 @@ def test_no_product_row_where_the_cover_reaches_the_product_count(monkeypatch):
         built.append(d)
         return row(self, i, o, d)
 
-    monkeypatch.setattr(scan_class, "_product_count", hooked_count)
+    monkeypatch.setattr(scan_class, "_budgeted_product_count", hooked_count)
     monkeypatch.setattr(scan_class, "_row", hooked_row)
     monkeypatch.setattr(invariant_ring, "_eliminate", hooked_eliminate)
     small = sweep(5, "full", arithmetic="exact")

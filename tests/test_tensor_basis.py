@@ -359,6 +359,19 @@ def test_serialize_load_round_trip():
         assert buf.getvalue() == buf2.getvalue()
 
 
+def test_serialize_load_round_trip_through_a_path(tmp_path):
+    # a pathlib.Path is a path, as a str is, not a file object
+    basis = build_full_basis(2, T21)
+    path = tmp_path / "basis.json"
+    serialize_basis(basis, path)
+    buf = io.StringIO()
+    serialize_basis(basis, buf)
+    assert path.read_text(encoding="utf-8") == buf.getvalue()
+    assert [(b.descriptor, b.tensor) for b in load_basis(path)] == [
+        (b.descriptor, b.tensor) for b in basis
+    ]
+
+
 def test_serialize_empty_supports_written_explicitly():
     basis = build_full_basis(2, T21)
     buf = io.StringIO()
